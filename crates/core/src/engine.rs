@@ -380,6 +380,38 @@ mod tests {
         pv_xml::parse(&xml).unwrap()
     }
 
+    /// A content model nested `levels` groups deep — `(a, (a, …)*)*`, two
+    /// particles per level — compiled the way a server `LOAD` compiles
+    /// it, on a thread with a 2 MiB stack (the size of a connection
+    /// thread's).
+    fn compile_nested(levels: usize) -> Result<bool, pv_dtd::DtdError> {
+        let src = format!(
+            "<!ELEMENT r {}a{}><!ELEMENT a EMPTY>",
+            "(a, ".repeat(levels),
+            ")*".repeat(levels)
+        );
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let engine = CheckEngine::new(DtdAnalysis::parse(&src, "r")?);
+                let doc = pv_xml::parse("<r><a/><a/></r>").unwrap();
+                Ok(engine.checker().check_document(&doc).is_potentially_valid())
+            })
+            .unwrap()
+            .join()
+            .expect("compiling must not overflow the stack")
+    }
+
+    #[test]
+    fn nesting_cap_holds_on_a_small_stack() {
+        let cap = pv_dtd::parser::MAX_GROUP_DEPTH;
+        assert_eq!(compile_nested(cap), Ok(true));
+        for levels in [cap + 1, 8_000] {
+            let err = compile_nested(levels).unwrap_err();
+            assert_eq!(err.kind, pv_dtd::DtdErrorKind::NestingTooDeep, "levels={levels}");
+        }
+    }
+
     #[test]
     fn pooled_document_check_bit_identical() {
         let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());

@@ -27,6 +27,9 @@ pub enum DtdErrorKind {
     /// An element is unusable: it can never occur in any valid document
     /// (Section 3.3 requires all elements to be usable).
     UnusableElement(String),
+    /// A content model nests groups deeper than
+    /// [`crate::parser::MAX_GROUP_DEPTH`].
+    NestingTooDeep,
 }
 
 /// An error from DTD parsing or analysis, with a byte offset into the
@@ -71,6 +74,11 @@ impl fmt::Display for DtdError {
             DtdErrorKind::UnusableElement(n) => write!(
                 f,
                 "element {n:?} is unusable (cannot occur in any valid document)"
+            ),
+            DtdErrorKind::NestingTooDeep => write!(
+                f,
+                "content model nests groups deeper than {} levels",
+                crate::parser::MAX_GROUP_DEPTH
             ),
         }?;
         if self.offset != 0 {

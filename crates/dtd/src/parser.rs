@@ -303,18 +303,28 @@ fn resolve(raw: RawDtd) -> Result<Dtd> {
 
     let mut elements = Vec::with_capacity(raw.elements.len());
     for (name, model, off) in &raw.elements {
-        let content = ModelParser { src: model, pos: 0, index: &index, decl_offset: *off }
-            .parse_spec()?;
+        let content =
+            ModelParser { src: model, pos: 0, index: &index, decl_offset: *off, depth: 0 }
+                .parse_spec()?;
         elements.push(ElementDecl { name: name.as_str().into(), content });
     }
     Ok(Dtd::from_parts(elements, raw.attlists))
 }
+
+/// The deepest group nesting a content model may have. Every walker over
+/// a content particle (normalisation, usability, rendering, `Drop`)
+/// recurses once per level, so an unbounded depth lets one hostile `LOAD`
+/// overflow a server thread's stack; 256 levels is far beyond any real
+/// DTD and keeps every walk within a 2 MiB thread stack.
+pub const MAX_GROUP_DEPTH: usize = 256;
 
 struct ModelParser<'a> {
     src: &'a str,
     pos: usize,
     index: &'a HashMap<&'a str, ElemId>,
     decl_offset: usize,
+    /// Groups currently open (bounded by [`MAX_GROUP_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> ModelParser<'a> {
@@ -400,8 +410,20 @@ impl<'a> ModelParser<'a> {
     }
 
     /// Parses the inside of a parenthesized group, after the `(`.
-    /// Consumes the closing `)` but not a suffix.
+    /// Consumes the closing `)` but not a suffix. Refuses a group nested
+    /// deeper than [`MAX_GROUP_DEPTH`].
     fn parse_group_body(&mut self) -> Result<Cp> {
+        if self.depth == MAX_GROUP_DEPTH {
+            return Err(DtdError::new(DtdErrorKind::NestingTooDeep, self.decl_offset));
+        }
+        self.depth += 1;
+        let group = self.parse_group_items();
+        self.depth -= 1;
+        group
+    }
+
+    /// The particles of one group and its closing `)`.
+    fn parse_group_items(&mut self) -> Result<Cp> {
         self.skip_ws();
         let first = self.parse_cp()?;
         self.skip_ws();

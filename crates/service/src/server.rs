@@ -727,15 +727,30 @@ fn err_response_kind(kind: &str, msg: &str) -> String {
     out
 }
 
-/// The access-log verdict column, recovered from the response we just
-/// generated (trusted shape — no JSON parse needed).
-fn verdict_of(body: &str) -> &'static str {
-    if body.contains("\"potentially_valid\":true") {
+/// The access-log verdict over the documents one request decided, one
+/// flag per document (`false` for a document that failed to parse): `pv`
+/// only when every document is potentially valid, `not-pv` when any is
+/// not, `-` when the request decided none.
+fn verdict_over(pv: impl IntoIterator<Item = bool>) -> &'static str {
+    let mut decided = false;
+    for pv in pv {
+        if !pv {
+            return "not-pv";
+        }
+        decided = true;
+    }
+    if decided {
         "pv"
-    } else if body.contains("\"potentially_valid\":false") {
-        "not-pv"
-    } else if body.starts_with("{\"ok\":true") {
+    } else {
         "-"
+    }
+}
+
+/// The verdict column of a served request: a refused or failed request
+/// (any disposition but `ok`) is logged `error`, whatever it decided.
+fn logged_verdict(disposition: &str, verdict: &'static str) -> &'static str {
+    if disposition == "ok" {
+        verdict
     } else {
         "error"
     }
@@ -865,14 +880,14 @@ fn connection_loop(
                         return Ok(());
                     }
                     Err(e) => return Err(e),
-                    Ok((StreamBody::Done(body), bytes)) => {
+                    Ok((StreamBody::Done(body, verdict), bytes)) => {
                         let disp = if shed { "shed" } else { disposition_of(&body) };
                         let access = Access {
                             op: &op,
                             handle: &handle,
                             bytes,
                             dur: t0.elapsed(),
-                            verdict: verdict_of(&body),
+                            verdict: logged_verdict(disp, verdict),
                         };
                         gov.log_request(conn_id, &access, disp);
                         state.observe_request(&op, disp, t0, Vec::new());
@@ -921,14 +936,14 @@ fn connection_loop(
                         return Ok(());
                     }
                     Err(e) => return Err(e),
-                    Ok((StreamBody::Done(body), bytes)) => {
+                    Ok((StreamBody::Done(body, verdict), bytes)) => {
                         let disp = if shed { "shed" } else { disposition_of(&body) };
                         let access = Access {
                             op: &op,
                             handle: &handle,
                             bytes,
                             dur: t0.elapsed(),
-                            verdict: verdict_of(&body),
+                            verdict: logged_verdict(disp, verdict),
                         };
                         gov.log_request(conn_id, &access, disp);
                         state.observe_request(&op, disp, t0, Vec::new());
@@ -954,33 +969,31 @@ fn connection_loop(
                 let handle = request_handle(&req).unwrap_or("-").to_owned();
                 let bytes = request_bytes(&req);
                 let mut stages = vec![("read".to_owned(), read_us)];
-                let (body, disp) = match req {
+                let served = |req, stages: &mut Vec<(String, u64)>| {
+                    let (body, verdict) = handle_request(req, state, stages);
+                    let disp = disposition_of(&body);
+                    (body, disp, verdict)
+                };
+                let (body, disp, verdict) = match req {
                     // Pool-bound work honours the in-flight cap: past it
                     // the request is shed with a clean `busy` error and
                     // the connection stays usable.
                     Request::Check { .. } | Request::Batch { .. } => match gov.try_inflight() {
-                        Some(_permit) => {
-                            let body = handle_request(req, state, &mut stages);
-                            let disp = disposition_of(&body);
-                            (body, disp)
-                        }
+                        Some(_permit) => served(req, &mut stages),
                         None => (
                             err_response_kind("busy", "server is at its in-flight request limit"),
                             "shed",
+                            "-",
                         ),
                     },
-                    req => {
-                        let body = handle_request(req, state, &mut stages);
-                        let disp = disposition_of(&body);
-                        (body, disp)
-                    }
+                    req => served(req, &mut stages),
                 };
                 let access = Access {
                     op: &op,
                     handle: &handle,
                     bytes,
                     dur: t0.elapsed(),
-                    verdict: verdict_of(&body),
+                    verdict: logged_verdict(disp, verdict),
                 };
                 gov.log_request(conn_id, &access, disp);
                 state.observe_request(&op, disp, t0, stages);
@@ -1029,8 +1042,10 @@ fn request_bytes(req: &Request) -> usize {
 
 /// How a `CHECK_STREAM` body ended.
 enum StreamBody {
-    /// All chunks consumed cleanly; respond and keep the connection.
-    Done(String),
+    /// All chunks consumed cleanly; respond with the body and keep the
+    /// connection. The access-log verdict over the decided documents
+    /// rides along.
+    Done(String, &'static str),
     /// Chunk framing broke; respond and close the connection.
     Abort(String),
 }
@@ -1098,13 +1113,14 @@ fn handle_check_stream(
     }
     if inflight.is_none() {
         return Ok((
-            StreamBody::Done(err_response_kind(
-                "busy",
-                "server is at its in-flight request limit",
-            )),
+            StreamBody::Done(
+                err_response_kind("busy", "server is at its in-flight request limit"),
+                "-",
+            ),
             total,
         ));
     }
+    let mut verdict = "-";
     let body = match (&entry, parse_err) {
         (Err(e), _) => err_response(e),
         (Ok(_), Some(e)) => err_response(&format!("document is not well-formed: {e}")),
@@ -1112,13 +1128,14 @@ fn handle_check_stream(
             Err(e) => err_response(&format!("document is not well-formed: {e}")),
             Ok(outcome) => {
                 state.record(1, &outcome.stats);
+                verdict = verdict_over([outcome.is_potentially_valid()]);
                 // Streaming never touches the shape memo, so the reply's
                 // memo field is always null (same JSON shape as CHECK).
                 check_response(&outcome, entry, false)
             }
         },
     };
-    Ok((StreamBody::Done(body), total))
+    Ok((StreamBody::Done(body, verdict), total))
 }
 
 /// One `BATCH_STREAM` stream's server-side state.
@@ -1181,6 +1198,8 @@ fn handle_batch_stream(
         .collect();
     let mut open = count;
     let mut total = 0usize;
+    // One flag per closed stream: did it decide potentially valid?
+    let mut decided: Vec<bool> = Vec::with_capacity(count);
     while open > 0 {
         let frame = match proto::read_stream_frame(reader) {
             Err(ReadError::Io(e)) => return Err(e),
@@ -1201,6 +1220,7 @@ fn handle_batch_stream(
         }
         if let proto::StreamFrame::Abort(_) = frame {
             slots[idx] = Slot::Closed(stream_slot_err("stream aborted by the client"));
+            decided.push(false);
             open -= 1;
             permits.pop(); // this stream's in-flight unit retires now
             continue;
@@ -1211,10 +1231,12 @@ fn handle_batch_stream(
             Ok(None) => {
                 // This stream's terminator: settle its reply slot.
                 let slot = std::mem::replace(&mut slots[idx], Slot::Draining(None));
+                let mut pv = false;
                 slots[idx] = Slot::Closed(match slot {
                     Slot::Open(s) => match s.finish() {
                         Ok(outcome) => {
                             state.record(1, &outcome.stats);
+                            pv = outcome.is_potentially_valid();
                             stream_slot_ok(&outcome)
                         }
                         Err(e) => stream_slot_err(&format!("document is not well-formed: {e}")),
@@ -1223,6 +1245,7 @@ fn handle_batch_stream(
                     Slot::Draining(None) => String::new(), // request-level error: never rendered
                     Slot::Closed(_) => unreachable!("closed streams rejected above"),
                 });
+                decided.push(pv);
                 open -= 1;
                 permits.pop();
             }
@@ -1255,15 +1278,18 @@ fn handle_batch_stream(
     }
     if shed {
         return Ok((
-            StreamBody::Done(err_response_kind(
-                "busy",
-                "server cannot admit all streams at its in-flight request limit",
-            )),
+            StreamBody::Done(
+                err_response_kind(
+                    "busy",
+                    "server cannot admit all streams at its in-flight request limit",
+                ),
+                "-",
+            ),
             total,
         ));
     }
     let entry = match &entry {
-        Err(e) => return Ok((StreamBody::Done(err_response(e)), total)),
+        Err(e) => return Ok((StreamBody::Done(err_response(e), "-"), total)),
         Ok(entry) => entry,
     };
     let mut out = String::from("{\"ok\":true,\"streams\":[");
@@ -1281,19 +1307,22 @@ fn handle_batch_stream(
     out.push_str(",\"class\":");
     json::write_str(&mut out, &entry.engine.analysis().rec.class.to_string());
     let _ = write!(out, ",\"depth\":{}}}", entry.engine.depth());
-    Ok((StreamBody::Done(out), total))
+    Ok((StreamBody::Done(out, verdict_over(decided)), total))
 }
 
-/// Serves one buffered request. `stages` accumulates named stage
-/// wall-clocks (microseconds) for the slow-trace ring — the handler
-/// appends `parse`/`recognize`/`serialize` entries for the verbs that
-/// have those stages and leaves it untouched otherwise.
+/// Serves one buffered request, returning the response body and the
+/// access-log verdict over the documents it checked ([`verdict_over`]).
+/// `stages` accumulates named stage wall-clocks (microseconds) for the
+/// slow-trace ring — the handler appends `parse`/`recognize`/`serialize`
+/// entries for the verbs that have those stages and leaves it untouched
+/// otherwise.
 fn handle_request(
     req: Request,
     state: &Arc<ServiceState>,
     stages: &mut Vec<(String, u64)>,
-) -> String {
-    match req {
+) -> (String, &'static str) {
+    let mut verdict = "-";
+    let body = match req {
         Request::Ping => "{\"ok\":true,\"pong\":true}".to_owned(),
         Request::Shutdown => {
             state.shutdown.store(true, Ordering::SeqCst);
@@ -1422,6 +1451,7 @@ fn handle_request(
                             stages.push(("recognize".to_owned(), us));
                         }
                         state.record(1, &outcome.stats);
+                        verdict = verdict_over([outcome.is_potentially_valid()]);
                         let st = m.serialize_us.start();
                         let body = check_response(&outcome, &entry, memo);
                         if let Some(us) = m.serialize_us.observe_since(st) {
@@ -1452,9 +1482,8 @@ fn handle_request(
                     match pv_xml::parse(xml) {
                         Ok(d) => docs.push(d),
                         Err(e) => {
-                            return err_response(&format!(
-                                "document #{i} is not well-formed: {e}"
-                            ))
+                            let msg = format!("document #{i} is not well-formed: {e}");
+                            return (err_response(&msg), "-");
                         }
                     }
                 }
@@ -1472,6 +1501,7 @@ fn handle_request(
                     merged.merge(&o.stats);
                 }
                 state.record(outcomes.len() as u64, &merged);
+                verdict = verdict_over(outcomes.iter().map(|o| o.is_potentially_valid()));
                 let mut out = String::from("{\"ok\":true,\"outcomes\":[");
                 for (i, o) in outcomes.iter().enumerate() {
                     if i > 0 {
@@ -1484,7 +1514,8 @@ fn handle_request(
             }
             Err(e) => err_response(&e),
         },
-    }
+    };
+    (body, verdict)
 }
 
 /// Renders the `METRICS` reply: the registry snapshot as one JSON line

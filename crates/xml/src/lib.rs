@@ -4,8 +4,11 @@
 //! ICDE 2006 paper *On Potential Validity of Document-Centric XML Documents*
 //! needs from its document model:
 //!
-//! * a **well-formedness parser** ([`parse`]) producing an arena-based
-//!   [`Document`] tree (the DOM trees of the paper's Figure 2),
+//! * a **resumable push lexer** ([`PushParser`]) that checks
+//!   well-formedness and emits SAX-style [`Event`]s from byte chunks — the
+//!   crate's only XML lexer,
+//! * a **tree parser** ([`parse`]) that builds an arena-based [`Document`]
+//!   (the DOM trees of the paper's Figure 2) from the lexer's events,
 //! * a **serializer** ([`Document::to_xml`]) that round-trips the token
 //!   structure,
 //! * **edit operations** mirroring the paper's update taxonomy (Section 3.2):
@@ -15,7 +18,7 @@
 //! * document-order traversal, depth computation and child token views that
 //!   the `δ_T` / `Δ_T` operators of `pv-core` are built on.
 //!
-//! The parser handles the document-centric XML subset relevant to potential
+//! The lexer handles the document-centric XML subset relevant to potential
 //! validity: elements, attributes, character data, CDATA sections, comments,
 //! processing instructions, numeric/named character references, and a
 //! `<!DOCTYPE … [internal subset]>` whose internal subset is captured verbatim
@@ -23,6 +26,13 @@
 //! the XML spec (external DTD subsets, full entity machinery) are out of
 //! scope, as in the paper (footnote 3: attributes never affect potential
 //! validity).
+//!
+//! Because [`parse`] is built on [`PushParser`], the tree path and the
+//! streaming path cannot disagree about well-formedness. What checks the
+//! lexer itself is an independently written cursor lexer kept as a test
+//! oracle in the workspace's `tests/support/reference_xml.rs`; the
+//! `stream_torture` suite compares both the event stream and [`parse`]'s
+//! trees against it.
 
 pub mod edit;
 pub mod error;
@@ -33,7 +43,7 @@ pub mod stream;
 pub mod tree;
 
 pub use error::{XmlError, XmlErrorKind};
-pub use parser::{parse, parse_fragment, ParseOptions};
+pub use parser::parse;
 pub use stream::{Event, PushParser};
 pub use tree::{Attribute, ChildToken, Document, Doctype, Node, NodeId, NodeKind};
 

@@ -8,15 +8,22 @@
 //! UTF-8 sequence — and the lexer simply reports "need more input" until the
 //! construct completes.
 //!
-//! ## Equivalence with the tree parser
+//! ## The tree parser is built on this lexer
 //!
-//! The event stream is the exact trace of [`crate::parse`]: same accepted
-//! language, same error kinds at the same byte offsets, and one event chain
-//! per node the tree parser would allocate, in allocation order (element
-//! starts, one text chain per maximal character-data run, one per CDATA
-//! section, comments and PIs inside the root). Prolog and trailing misc are
-//! consumed but produce no events, exactly as the tree parser produces no
-//! nodes for them. `tests/stream_torture.rs` holds this equivalence over
+//! [`crate::parse`] pushes its whole input in one piece and builds the
+//! [`crate::Document`] from the events, so the tree path and the streaming
+//! path share one lexer: the same accepted language and the same errors at
+//! the same byte offsets. Events arrive in node-allocation order — one
+//! chain per tree node (element starts, one text chain per maximal
+//! character-data run, one per CDATA section, comments and PIs inside the
+//! root). Prolog and trailing misc are consumed but produce no events, and
+//! no nodes. Chunk boundaries are invisible: the event stream (up to the
+//! splitting of text runs into pieces) and any error are the same at
+//! every chunking.
+//!
+//! An independently written cursor lexer is kept as a test oracle in
+//! `tests/support/reference_xml.rs`; `tests/stream_torture.rs` holds this
+//! lexer — and the tree builder on top of it — equal to that oracle over
 //! random documents, all chunkings, and all truncations.
 //!
 //! ## Memory
@@ -25,9 +32,9 @@
 //! character data streams out in pieces (it never accumulates), while tags,
 //! comments, CDATA sections, references and the doctype are buffered only
 //! until their terminating delimiter arrives. (An unterminated reference or
-//! giant comment therefore buffers until its delimiter — the tree parser
-//! scans the rest of the input for the same delimiter, and matching its
-//! verdict exactly requires waiting just as long.) Constructs interrupted
+//! giant comment therefore buffers until its delimiter: the verdict on it
+//! depends on whether the delimiter appears anywhere in the rest of the
+//! input, so deciding it early is impossible.) Constructs interrupted
 //! by a chunk boundary re-parse from their first byte when more input
 //! arrives, so pathological 1-byte feeding costs O(construct²) time per
 //! construct but never changes the result. Truncated input surfaces as a
@@ -58,7 +65,6 @@
 
 use crate::error::{XmlError, XmlErrorKind};
 use crate::escape::{is_name_char, is_name_start, resolve_reference, validate_name};
-use crate::parser::ParseOptions;
 use crate::tree::{Attribute, Doctype};
 use crate::Result;
 use std::ops::Range;
@@ -93,7 +99,7 @@ pub enum Event<'a> {
         first: bool,
     },
     /// A comment inside the root element (prolog/trailing comments are
-    /// consumed silently, as the tree parser drops them).
+    /// consumed silently; the tree parser keeps no node for them).
     Comment {
         /// Comment body.
         text: &'a str,
@@ -102,7 +108,7 @@ pub enum Event<'a> {
     Pi {
         /// PI target.
         target: &'a str,
-        /// PI data (leading whitespace trimmed, as in the tree parser).
+        /// PI data (leading whitespace trimmed).
         data: &'a str,
     },
 }
@@ -162,7 +168,6 @@ pub struct PushParser {
     utf8_tail: Vec<u8>,
     eof: bool,
     mode: Mode,
-    options: ParseOptions,
     /// Open element names, concatenated (the name arena): element `i`'s
     /// name spans `names[name_starts[i]..name_starts[i + 1]]` (to the
     /// arena's end for the innermost). The only per-depth state the
@@ -195,14 +200,8 @@ impl Default for PushParser {
 }
 
 impl PushParser {
-    /// A fresh parser with default [`ParseOptions`].
+    /// A fresh parser, expecting the first byte of a document.
     pub fn new() -> Self {
-        Self::with_options(ParseOptions::default())
-    }
-
-    /// A fresh parser with explicit options (comment/PI events can be
-    /// suppressed, mirroring the tree parser's node filtering).
-    pub fn with_options(options: ParseOptions) -> Self {
         PushParser {
             buf: String::new(),
             base: 0,
@@ -210,7 +209,6 @@ impl PushParser {
             utf8_tail: Vec::new(),
             eof: false,
             mode: Mode::Decl,
-            options,
             names: String::new(),
             name_starts: Vec::new(),
             name_trunc: None,
@@ -233,9 +231,18 @@ impl PushParser {
         if self.failed.is_some() {
             return;
         }
-        let mut bytes = std::mem::take(&mut self.utf8_tail);
-        bytes.extend_from_slice(chunk);
-        match std::str::from_utf8(&bytes) {
+        // Only a chunk that completes a split UTF-8 sequence is copied
+        // before validation; every other chunk is validated in place.
+        let joined;
+        let bytes = if self.utf8_tail.is_empty() {
+            chunk
+        } else {
+            let mut tail = std::mem::take(&mut self.utf8_tail);
+            tail.extend_from_slice(chunk);
+            joined = tail;
+            &joined[..]
+        };
+        match std::str::from_utf8(bytes) {
             Ok(s) => self.buf.push_str(s),
             Err(e) => {
                 let valid = e.valid_up_to();
@@ -305,6 +312,12 @@ impl PushParser {
         self.peak_buffered
     }
 
+    /// Moves the attributes of the [`Event::Start`] just returned out of
+    /// the lexer's scratch, so the tree builder need not clone them.
+    pub(crate) fn take_attrs(&mut self) -> Vec<Attribute> {
+        std::mem::take(&mut self.attrs)
+    }
+
     /// Current open-element depth.
     #[inline]
     pub fn depth(&self) -> usize {
@@ -346,8 +359,6 @@ impl PushParser {
         let mut m = Machine {
             s: &self.buf,
             eof: self.eof,
-            keep_comments: self.options.keep_comments,
-            keep_pis: self.options.keep_pis,
             base: self.base,
             p: self.pos,
             pos: &mut self.pos,
@@ -401,8 +412,6 @@ impl PushParser {
 struct Machine<'m> {
     s: &'m str,
     eof: bool,
-    keep_comments: bool,
-    keep_pis: bool,
     base: usize,
     /// Working cursor (uncommitted).
     p: usize,
@@ -448,7 +457,7 @@ impl Machine<'_> {
     }
 
     /// Three-valued `starts_with`: undecidable prefixes ask for more input
-    /// (at eof they resolve to a plain mismatch, as the tree parser sees).
+    /// (at eof they resolve to a plain mismatch).
     fn lit(&self, t: &str) -> Step<bool> {
         let rest = &self.s.as_bytes()[self.p..];
         if rest.len() >= t.len() {
@@ -507,9 +516,9 @@ impl Machine<'_> {
         match chars.next() {
             Some((_, c)) if is_name_start(c) => {}
             _ => {
-                // The tree parser's InvalidName message carries the next
-                // (up to) 8 characters; wait for them (or eof) so the error
-                // is byte-identical.
+                // The InvalidName message carries the next (up to) 8
+                // characters; wait for them (or eof) so the error is the
+                // same at every chunking.
                 if !self.eof && rest.chars().take(8).count() < 8 {
                     return Err(Halt::More);
                 }
@@ -535,14 +544,14 @@ impl Machine<'_> {
     }
 
     /// Resolves a `&…;` reference at the cursor (which sits on the `&`),
-    /// mirroring the tree parser's scan-to-semicolon semantics.
+    /// scanning to the next `;`.
     fn reference(&mut self) -> Step<char> {
         let amp = self.abs();
         self.p += 1; // past '&'
         let semi = match self.s[self.p..].find(';') {
             Some(i) => i,
-            // The tree parser scans the rest of the whole input for ';'
-            // before giving up, so we must wait just as long.
+            // The `;` may lie anywhere in the rest of the input, so give
+            // up only at eof.
             None if self.eof => return Err(self.err_eof()),
             None => return Err(Halt::More),
         };
@@ -578,7 +587,7 @@ impl Machine<'_> {
     }
 
     /// Optional XML declaration — recognized only as the very first bytes,
-    /// by the exact `<?xml` prefix the tree parser tests.
+    /// by the exact `<?xml` prefix.
     fn decl(&mut self) -> Step<()> {
         debug_assert_eq!(self.abs(), 0);
         if self.lit("<?xml")? {
@@ -590,8 +599,8 @@ impl Machine<'_> {
         Ok(())
     }
 
-    /// Prolog misc + doctype; produces no events (the tree parser keeps no
-    /// nodes for these).
+    /// Prolog misc + doctype; produces no events (the tree keeps no nodes
+    /// for these).
     fn prolog(&mut self) -> Step<()> {
         loop {
             self.skip_ws();
@@ -625,9 +634,8 @@ impl Machine<'_> {
         }
     }
 
-    /// One content construct: markup dispatch exactly in the tree parser's
-    /// order. Returns `None` when the construct produced no event (dropped
-    /// comment/PI, or a mode switch).
+    /// One content construct. Returns `None` when the construct produced no
+    /// event (a PI outside the root, or a mode switch).
     fn content(&mut self) -> Step<Option<Raw>> {
         match self.peek_or()? {
             None => {
@@ -675,12 +683,9 @@ impl Machine<'_> {
         } else if self.lit("<!--")? {
             let text = self.comment_body()?;
             self.commit();
-            if !self.keep_comments {
-                return Ok(None);
-            }
             if self.name_starts.is_empty() {
-                // The tree parser treats this as unreachable (the prolog
-                // consumes pre-root comments); keep it an error, not a panic.
+                // Unreachable (the prolog consumes pre-root comments);
+                // keep it an error, not a panic.
                 return Err(self.err_unexpected("comment outside root"));
             }
             Ok(Some(Raw::Comment { text }))
@@ -697,7 +702,7 @@ impl Machine<'_> {
         } else if self.lit("<?")? {
             let (target, data) = self.pi_body()?;
             self.commit();
-            if self.keep_pis && !self.name_starts.is_empty() {
+            if !self.name_starts.is_empty() {
                 Ok(Some(Raw::Pi { target, data }))
             } else {
                 Ok(None)
@@ -795,9 +800,8 @@ impl Machine<'_> {
                     };
                 }
                 None => {
-                    // True end of input mid-run: emit the tail piece (the
-                    // tree parser appends the text node before noticing the
-                    // unclosed tag), then let Content report the error.
+                    // True end of input mid-run: emit the tail piece, then
+                    // let Content report the unclosed tag.
                     *self.mode = Mode::Content;
                     return Ok(self.flush_piece());
                 }

@@ -433,6 +433,56 @@ fn stalled_stream_chunks_past_the_idle_deadline_time_out() {
     server.join();
 }
 
+/// The access log's verdict column covers every document a request
+/// decided: `pv` only when all of them are potentially valid. A `BATCH`
+/// or `BATCH_STREAM` mixing PV and not-PV documents is logged `not-pv`,
+/// whichever order they come in.
+#[test]
+fn access_log_verdict_covers_every_document_of_a_batch() {
+    let (sink, log) = LogSink::memory();
+    let server = Server::bind_with(
+        &Endpoint::parse("127.0.0.1:0"),
+        2,
+        GovernorConfig { log: sink, ..GovernorConfig::default() },
+    )
+    .expect("bind governed");
+    let mut client = Client::connect_endpoint(server.endpoint()).unwrap();
+    let dtd = client.load_builtin("figure1").unwrap();
+    let pv = "<r><a><b>x</b><c>y</c> dog<e/></a></r>";
+    let not_pv = "<r><a><b>x</b><e/><c>y</c></a></r>";
+    assert!(expect_outcome(BuiltinDtd::Figure1, pv).is_potentially_valid());
+    assert!(!expect_outcome(BuiltinDtd::Figure1, not_pv).is_potentially_valid());
+    // The server logs a request before it answers, so the line is there
+    // by the time the reply is.
+    let last = || log.lock().unwrap().last().cloned().unwrap_or_default();
+    let logged = |line: String, op: &str, verdict: &str| {
+        assert!(line.contains(&format!("op={op} ")), "{line}");
+        assert!(line.contains(&format!("verdict={verdict} ")), "{line}");
+    };
+    for (docs, verdict) in [
+        ([pv, not_pv], "not-pv"),
+        ([not_pv, pv], "not-pv"),
+        ([not_pv, not_pv], "not-pv"),
+        ([pv, pv], "pv"),
+    ] {
+        let xmls: Vec<String> = docs.iter().map(|d| d.to_string()).collect();
+        client.check_batch(&dtd.handle, &xmls, 2).unwrap();
+        logged(last(), "BATCH", verdict);
+        let bytes: Vec<&[u8]> = docs.iter().map(|d| d.as_bytes()).collect();
+        client.check_stream_batch(&dtd.handle, &bytes, 7).unwrap();
+        logged(last(), "BATCH_STREAM", verdict);
+    }
+    for (doc, verdict) in [(pv, "pv"), (not_pv, "not-pv")] {
+        client.check(&dtd.handle, doc, 1, true).unwrap();
+        logged(last(), "CHECK", verdict);
+        client.check_stream(&dtd.handle, doc.as_bytes().chunks(5)).unwrap();
+        logged(last(), "CHECK_STREAM", verdict);
+    }
+    client.shutdown().unwrap();
+    drop(client);
+    server.join();
+}
+
 #[test]
 fn protocol_errors_leave_the_connection_usable() {
     let (server, mut client) = start_server();

@@ -250,6 +250,45 @@ fn pool_saturation_sheds_requests_not_connections() {
     shutdown(server, &addr);
 }
 
+/// A `LOAD` whose content model nests 8,000 groups deep is refused with a
+/// typed DTD error instead of overflowing its connection thread's stack
+/// (which aborts the whole process). A `CHECK` running concurrently on
+/// another connection completes bit-identically, and the refused
+/// connection keeps serving. Remove the nesting cap and this test dies
+/// with the server.
+#[test]
+fn deeply_nested_dtd_load_is_refused_while_checks_continue() {
+    let (server, log) = governed(GovernorConfig::default());
+    let addr = tcp_addr(&server);
+    let mut client = Client::connect(&addr).unwrap();
+    let dtd = client.load_builtin("figure1").unwrap();
+    let deep = format!(
+        "<!ELEMENT r {}a{}><!ELEMENT a EMPTY>",
+        "(".repeat(8_000),
+        ")*".repeat(8_000)
+    );
+    let loader = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr).unwrap();
+            let err = c.load_dtd("r", &deep).unwrap_err();
+            c.ping().expect("the refused connection stays usable");
+            err
+        })
+    };
+    for _ in 0..20 {
+        let got = client.check(&dtd.handle, PV_XML, 1, true).unwrap();
+        assert_eq!(got.outcome, expect_outcome(BuiltinDtd::Figure1, PV_XML));
+    }
+    let err = loader.join().expect("loader thread");
+    assert!(err.to_string().contains("nests groups deeper than 256 levels"), "{err}");
+    let line = wait_for_log(&log, "disposition=app_error");
+    assert!(line.contains("op=LOAD"), "{line}");
+    let got = client.check(&dtd.handle, PV_XML, 1, true).unwrap();
+    assert_eq!(got.outcome, expect_outcome(BuiltinDtd::Figure1, PV_XML));
+    shutdown(server, &addr);
+}
+
 /// Payloads over `max_payload` are refused as framing errors without the
 /// server buffering them; the default-limit control accepts the same
 /// document.

@@ -3,12 +3,18 @@
 //! clean error (never a wrong verdict), and no input — well-formed,
 //! truncated, or raw byte soup — may panic the parser.
 //!
-//! The equivalence oracle is the tree parser: for every well-formed
-//! document the push parser's event stream must describe exactly the
-//! tree `pv_xml::parse` builds (same elements, attributes, text nodes,
-//! comments, PIs, in the same order), and for every broken input both
-//! parsers must report the **same error** (the push parser reuses the
-//! tree parser's lexer, so diagnostics are byte-identical).
+//! The equivalence oracle is the reference lexer in
+//! `tests/support/reference_xml.rs`, an independently written byte cursor.
+//! For every well-formed document the push parser's event stream must
+//! describe exactly the tree the reference builds (same elements,
+//! attributes, text nodes, comments, PIs, in the same order), and for
+//! every broken input both must report the **same error**. `pv_xml::parse`
+//! builds its trees from the push parser's events, so every input here is
+//! also run through it: it must build the reference's arena node for node,
+//! or fail with the reference's error.
+
+#[path = "support/reference_xml.rs"]
+mod reference_xml;
 
 use proptest::prelude::*;
 use potential_validity::prelude::*;
@@ -77,7 +83,29 @@ fn event_trace(xml: &str, chunk: usize) -> pv_xml::Result<String> {
     Ok(out)
 }
 
-/// The same canonical trace, derived from the tree parser's document.
+/// `pv_xml::parse` must build exactly the reference lexer's arena — the
+/// same node at every id, the same doctype — or fail with the same error.
+fn assert_parse_matches_reference(xml: &str) {
+    match (pv_xml::parse(xml), reference_xml::parse(xml)) {
+        (Ok(got), Ok(want)) => {
+            assert_eq!(got.root(), want.root(), "xml={xml:?}");
+            assert_eq!(got.doctype, want.doctype, "xml={xml:?}");
+            assert_eq!(got.live_count(), want.live_count(), "xml={xml:?}");
+            for i in 0..want.live_count() {
+                let id = NodeId::from_index(i);
+                let (g, w) = (got.node(id), want.node(id));
+                assert!(
+                    g.kind == w.kind && g.parent == w.parent && g.children == w.children,
+                    "xml={xml:?}: node {id} is {g:?}, reference has {w:?}"
+                );
+            }
+        }
+        (Err(got), Err(want)) => assert_eq!(got, want, "xml={xml:?}"),
+        (got, want) => panic!("xml={xml:?}: parse gave {got:?}, reference gave {want:?}"),
+    }
+}
+
+/// The same canonical trace, derived from a tree.
 fn tree_trace(doc: &Document) -> String {
     enum Step {
         Enter(NodeId),
@@ -130,7 +158,8 @@ const EDGE_DOCS: &[&str] = &[
 #[test]
 fn edge_documents_trace_identically_at_every_split() {
     for xml in EDGE_DOCS {
-        let expect = tree_trace(&pv_xml::parse(xml).unwrap());
+        assert_parse_matches_reference(xml);
+        let expect = tree_trace(&reference_xml::parse(xml).unwrap());
         for chunk in 1..=xml.len() {
             assert_eq!(
                 event_trace(xml, chunk).unwrap(),
@@ -146,7 +175,8 @@ fn corpus_documents_trace_identically() {
     for b in BuiltinDtd::ALL {
         let Some(doc) = corpus::for_builtin(b, 300) else { continue };
         let xml = doc.to_xml();
-        let expect = tree_trace(&pv_xml::parse(&xml).unwrap());
+        assert_parse_matches_reference(&xml);
+        let expect = tree_trace(&reference_xml::parse(&xml).unwrap());
         for chunk in [1usize, 7, 64, xml.len()] {
             assert_eq!(event_trace(&xml, chunk).unwrap(), expect, "{} chunk={chunk}", b.name());
         }
@@ -155,7 +185,7 @@ fn corpus_documents_trace_identically() {
 
 /// Every strict prefix of a well-formed document (no trailing misc) is
 /// incomplete or broken: the push parser must report a clean error —
-/// the **same** error the tree parser reports for that prefix — and the
+/// the **same** error the reference lexer reports for that prefix — and the
 /// streaming checker must propagate it instead of inventing a verdict.
 #[test]
 fn every_prefix_truncation_is_a_clean_error() {
@@ -167,7 +197,8 @@ fn every_prefix_truncation_is_a_clean_error() {
             continue; // byte-level truncation of UTF-8 is covered below
         }
         let prefix = &full[..cut];
-        let tree_err = pv_xml::parse(prefix).expect_err("strict prefix cannot be complete");
+        assert_parse_matches_reference(prefix);
+        let tree_err = reference_xml::parse(prefix).expect_err("strict prefix cannot be complete");
         for chunk in [1usize, 4, prefix.len()] {
             let stream_err =
                 event_trace(prefix, chunk).expect_err("push parser must also reject");
@@ -203,6 +234,7 @@ fn peak_buffered_is_a_true_high_water_mark() {
     // the document is an order of magnitude smaller.
     let comment = format!("<!--{}-->", "c".repeat(300));
     let xml = format!("<r>head{comment}<a>tail — ünïcödé 試験</a></r>");
+    assert_parse_matches_reference(&xml);
     for chunk in [1usize, 2, 7, 16, 64] {
         let mut parser = PushParser::new();
         let mut pieces = xml.as_bytes().chunks(chunk);
@@ -267,6 +299,9 @@ fn byte_soup_never_panics() {
         for _ in 0..len {
             soup.push(alphabet[(rng() % alphabet.len() as u64) as usize]);
         }
+        if let Ok(text) = std::str::from_utf8(&soup) {
+            assert_parse_matches_reference(text);
+        }
         let mut parser = PushParser::new();
         let chunk = 1 + (rng() % 9) as usize;
         let mut pieces = soup.chunks(chunk);
@@ -292,7 +327,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Random well-formed documents × random chunk sizes: the event
-    /// stream describes exactly the tree the batch parser builds.
+    /// stream describes exactly the tree the reference lexer builds.
     #[test]
     fn generated_documents_trace_identically(
         seed in 0u64..5000,
@@ -302,7 +337,8 @@ proptest! {
         let analysis = BuiltinDtd::Play.analysis();
         let doc = DocGen::new(&analysis, seed).generate(nodes);
         let xml = doc.to_xml();
-        let expect = tree_trace(&pv_xml::parse(&xml).unwrap());
+        assert_parse_matches_reference(&xml);
+        let expect = tree_trace(&reference_xml::parse(&xml).unwrap());
         prop_assert_eq!(event_trace(&xml, chunk).unwrap(), expect);
     }
 
@@ -323,7 +359,8 @@ proptest! {
             cut -= 1;
         }
         let prefix = &xml[..cut];
-        let tree_err = pv_xml::parse(prefix).expect_err("strict prefix cannot be complete");
+        assert_parse_matches_reference(prefix);
+        let tree_err = reference_xml::parse(prefix).expect_err("strict prefix cannot be complete");
         let stream_err = event_trace(prefix, chunk).expect_err("push parser must reject too");
         prop_assert_eq!(stream_err.to_string(), tree_err.to_string());
     }
