@@ -4,7 +4,7 @@
 //! throughput at several server-side job caps.
 //!
 //! Every measured iteration is a full wire round trip — client encode,
-//! kernel, server parse, check (sequential or on the persistent pool),
+//! kernel, server parse, check (sequential or sharded under the pool cap),
 //! JSON response, client decode — so these numbers are the ones a service
 //! deployment actually sees. Compare the `inproc_*` rows (same engine, no
 //! wire) to read off the protocol overhead, and `cold_*` vs `warm_*`
@@ -17,7 +17,6 @@ use pv_dtd::builtin::BuiltinDtd;
 use pv_par::Pool;
 use pv_service::{Client, Endpoint, Server};
 use pv_workload::corpus;
-use std::sync::Arc;
 
 fn bench_service(c: &mut Criterion) {
     #[cfg(unix)]
@@ -37,7 +36,6 @@ fn bench_service(c: &mut Criterion) {
 
     let small = corpus::play(600);
     let small_xml = small.to_xml();
-    let small_arc = Arc::new(small);
     let large = corpus::play(5_000);
     let large_xml = large.to_xml();
 
@@ -58,7 +56,7 @@ fn bench_service(c: &mut Criterion) {
         b.iter(|| client.check(&dtd.handle, &large_xml, 8, true).unwrap().outcome)
     });
     group.bench_function("inproc_small_pooled", |b| {
-        b.iter(|| engine.check_document_pooled(&small_arc, &pool, 2, true))
+        b.iter(|| engine.check_document_pooled(&small, &pool, 2, true))
     });
     group.finish();
 

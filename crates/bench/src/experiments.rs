@@ -558,39 +558,6 @@ fn table_parallel() {
         );
     }
 
-    // Persistent pool vs scoped spawning: the same checks dispatched to
-    // parked workers (pv_par::Pool via CheckEngine) instead of freshly
-    // scoped threads. The difference is pure region-setup cost, which is
-    // why the saving concentrates on small documents.
-    use pv_core::engine::CheckEngine;
-    use std::sync::Arc;
-    let engine = CheckEngine::new(BuiltinDtd::Play.analysis());
-    let pool = pv_par::Pool::new(2);
-    println!(
-        "\n| small doc (nodes) | scoped spawn (jobs=2) | persistent pool (jobs=2) | pool saving | outcome identical |"
-    );
-    println!("|---|---|---|---|---|");
-    for target in [600usize, 2048, 8192] {
-        let doc = Arc::new(corpus::play(target));
-        let seq_out = checker.check_document(&doc);
-        let scoped_out = checker.check_document_parallel(&doc, 2);
-        let pooled_out = engine.check_document_pooled(&doc, &pool, 2, true);
-        let t_scoped = median(9, || {
-            std::hint::black_box(checker.check_document_parallel(&doc, 2));
-        });
-        let t_pooled = median(9, || {
-            std::hint::black_box(engine.check_document_pooled(&doc, &pool, 2, true));
-        });
-        println!(
-            "| {} | {} | {} | {:+.1}% | {} |",
-            doc.element_count(),
-            fmt_dur(t_scoped),
-            fmt_dur(t_pooled),
-            100.0 * (t_pooled.as_secs_f64() / t_scoped.as_secs_f64().max(f64::EPSILON) - 1.0),
-            scoped_out == seq_out && pooled_out == seq_out,
-        );
-    }
-
     // A batch of irregular documents, sharded per document.
     let docs = crate::workloads::parallel_batch();
     let total: usize = docs.iter().map(|d| d.element_count()).sum();

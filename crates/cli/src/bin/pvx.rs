@@ -63,10 +63,10 @@ upload as CHECK_STREAM requests while the server validates them
 (requires --builtin/--dtd: the DTD cannot ride inside the byte stream).
 --jobs/--no-memo do not apply to streaming checks.
 
-`pvx serve` runs the resident validation server: a persistent
-work-stealing pool (parked workers — no per-request thread spawns) and,
-per loaded DTD, pre-compiled DAGs plus a warm shape cache shared across
-requests. `pvx check --remote ADDR` ships documents to such a server
+`pvx serve` runs the resident validation server: a work-stealing worker
+pool capped at --jobs workers (parallel checks run one at a time, so the
+server never runs more) and, per loaded DTD, pre-compiled DAGs plus a
+warm shape cache shared across requests. `pvx check --remote ADDR` ships documents to such a server
 (ADDR is the socket path or host:port) and renders the bit-identical
 outcome; the DTD resolves locally as usual and is loaded (idempotently)
 into the server on first use. A comma-separated --remote list routes
@@ -352,13 +352,13 @@ fn cmd_serve(args: &Args) -> ! {
         _ => die("serve needs exactly one of --socket PATH or --port N"),
     };
     // `check` defaults to sequential, but a server wants every CPU:
-    // unset --jobs means 0 (one parked worker per CPU) here.
+    // unset --jobs means 0 (a worker cap of one per CPU) here.
     let jobs = args.jobs.unwrap_or(0);
     match Server::bind_with(&endpoint, jobs, governance(args)) {
         Err(e) => die(&format!("cannot bind {endpoint}: {e}")),
         Ok(handle) => {
             println!(
-                "pvx serve: listening on {} (pool: {} persistent workers)",
+                "pvx serve: listening on {} (pool: up to {} workers)",
                 handle.endpoint(),
                 pv_par::effective_jobs(jobs)
             );

@@ -812,11 +812,9 @@ fn top_frame(m: &json::Json, addr: &str, rps: Option<f64>) -> String {
     );
     let _ = writeln!(
         out,
-        "pool: regions {} · tasks {} · steals {} · parks {}",
+        "pool: regions {} · tasks {}",
         top_counter(m, "pv_pool_regions_total"),
         top_counter(m, "pv_pool_tasks_total"),
-        top_counter(m, "pv_pool_steals_total"),
-        top_counter(m, "pv_pool_parks_total"),
     );
     let _ = writeln!(
         out,

@@ -9,7 +9,7 @@
 use crate::dag::DagSet;
 use crate::depth::DepthPolicy;
 use crate::memo::{MemoStats, MemoVerdict, ShapeCache};
-use crate::recognizer::{EcRecognizer, RecBuffers, RecCtx, RecognizerStats};
+use crate::recognizer::{EcRecognizer, RecCtx, RecognizerStats};
 use crate::token::{ChildSym, Tokens};
 use pv_dtd::DtdAnalysis;
 use pv_xml::{Document, NodeId};
@@ -102,27 +102,12 @@ pub struct CheckScratch<'s> {
     syms: Vec<ChildSym>,
 }
 
-impl CheckScratch<'_> {
-    /// Retires this scratch into a lifetime-free [`ScratchStash`] whose
-    /// buffer capacities a later scan — possibly against a *different*
-    /// checker — can adopt via [`PvChecker::scratch_from`]. This is how a
-    /// persistent pool worker keeps its scratch warm across parallel
-    /// regions: the scratch itself borrows the checker and cannot leave
-    /// the region, but its plain-data buffers can.
-    pub fn into_stash(mut self) -> ScratchStash {
-        self.syms.clear();
-        ScratchStash { syms: self.syms, rec: self.rec.into_buffers() }
-    }
-}
-
-/// Lifetime-free recycled checker buffers (see
-/// [`CheckScratch::into_stash`]). Carries no verdict state — only heap
-/// capacities — so adopting a stash can never influence an outcome.
-#[derive(Default)]
-pub struct ScratchStash {
-    syms: Vec<ChildSym>,
-    rec: RecBuffers,
-}
+/// Unit tests put this attribute on an element to make the task checking
+/// it panic, so the parallel paths' panic propagation can be tested end
+/// to end. Attributes never influence potential validity, so the marker
+/// changes no outcome short of the panic.
+#[cfg(test)]
+pub(crate) const TEST_PANIC_ATTR: &str = "pv-test-panic";
 
 /// A reusable potential-validity checker for one compiled DTD.
 ///
@@ -256,21 +241,6 @@ impl<'a> PvChecker<'a> {
         }
     }
 
-    /// [`PvChecker::scratch`] adopting the buffer capacities of a retired
-    /// stash (see [`CheckScratch::into_stash`]). The stash carries no
-    /// verdict state, so the scratch behaves exactly like a fresh one.
-    pub fn scratch_from(&self, stash: ScratchStash) -> CheckScratch<'_> {
-        CheckScratch {
-            rec: EcRecognizer::with_buffers(
-                self.rec_ctx(),
-                self.analysis.root,
-                self.depth,
-                stash.rec,
-            ),
-            syms: stash.syms,
-        }
-    }
-
     /// The recognizer context every execution path of this checker uses:
     /// shared DAGs, reachability, and the resolved speculation budget.
     /// Single construction point so local, parallel, streaming, and
@@ -306,9 +276,9 @@ impl<'a> PvChecker<'a> {
     pub const PARALLEL_MIN_NODES: usize = 512;
 
     /// Definition 3's root condition `root(w) = r`, shared verbatim by the
-    /// sequential, parallel, and pooled document checks (the bit-identity
+    /// sequential, parallel, and batch document checks (the bit-identity
     /// guarantee between them depends on all using exactly this).
-    pub(crate) fn check_root(&self, doc: &Document) -> Option<PvViolation> {
+    fn check_root(&self, doc: &Document) -> Option<PvViolation> {
         let root_name = doc.name(doc.root()).unwrap_or("");
         if self.analysis.id(root_name) != Some(self.analysis.root) {
             return Some(PvViolation {
@@ -384,8 +354,7 @@ impl<'a> PvChecker<'a> {
     /// threshold is visible in `experiments --table parallel`). The
     /// outcome is bit-identical either way.
     pub fn check_document_parallel(&self, doc: &Document, jobs: usize) -> PvOutcome {
-        let jobs = pv_par::effective_jobs(jobs);
-        if jobs <= 1 || doc.element_count() < Self::PARALLEL_MIN_NODES {
+        if !Self::shards(doc, jobs) {
             return self.check_document(doc);
         }
         // Root check first, exactly as in the sequential path.
@@ -420,6 +389,12 @@ impl<'a> PvChecker<'a> {
         );
         // Deterministic reduction in document order.
         reduce_node_results(per_node)
+    }
+
+    /// Whether [`PvChecker::check_document_parallel`] shards `doc` over
+    /// `jobs` workers, rather than falling back to the sequential scan.
+    pub(crate) fn shards(doc: &Document, jobs: usize) -> bool {
+        pv_par::effective_jobs(jobs) > 1 && doc.element_count() >= Self::PARALLEL_MIN_NODES
     }
 
     /// Checks a batch of documents against this DTD on `jobs` worker
@@ -482,12 +457,12 @@ impl<'a> PvChecker<'a> {
     /// batch (a document holding less than a quarter of one worker's
     /// average share can never leave the other workers idle long —
     /// whole-document stealing balances it fine).
-    pub(crate) fn batch_split_threshold(workers: usize, total_nodes: usize) -> usize {
+    fn batch_split_threshold(workers: usize, total_nodes: usize) -> usize {
         Self::PARALLEL_MIN_NODES.max(total_nodes / (4 * workers.max(1)))
     }
 
     /// How one batch document is scheduled (see [`PvChecker::check_batch`]).
-    pub(crate) fn plan_document(&self, doc: &Document, split_threshold: usize) -> BatchPlan {
+    fn plan_document(&self, doc: &Document, split_threshold: usize) -> BatchPlan {
         match self.check_root(doc) {
             Some(v) => BatchPlan::RootFailed(v),
             None if doc.element_count() < split_threshold => BatchPlan::Whole,
@@ -497,7 +472,7 @@ impl<'a> PvChecker<'a> {
 
     /// One scheduled task of a batch region: either the whole document
     /// (small documents) or one node (joinable large documents).
-    pub(crate) fn run_batch_task(
+    fn run_batch_task(
         &self,
         doc: &Document,
         plan: &BatchPlan,
@@ -554,6 +529,10 @@ impl<'a> PvChecker<'a> {
         stats: &mut RecognizerStats,
         scratch: &mut CheckScratch<'_>,
     ) -> Option<PvViolation> {
+        #[cfg(test)]
+        if let pv_xml::NodeKind::Element { attrs, .. } = &doc.node(node).kind {
+            assert!(attrs.iter().all(|a| &*a.name != TEST_PANIC_ATTR), "injected task panic");
+        }
         let elem = match self.analysis.id(doc.name(node).unwrap_or("")) {
             Some(e) => e,
             None => {
@@ -650,11 +629,10 @@ impl<'a> PvChecker<'a> {
 /// How one document of a batch is scheduled: no tasks at all (root
 /// violation, found in the planning pre-pass), one whole-document task
 /// (small documents — no per-node sharding overhead), or one task per
-/// element node (large documents idle workers may join). Shared by the
-/// scoped [`PvChecker::check_batch`] and the engine's pooled batch; the
-/// reduction produces outcomes bit-identical to the sequential checker
-/// in every variant.
-pub(crate) enum BatchPlan {
+/// element node (large documents idle workers may join). The reduction
+/// produces outcomes bit-identical to the sequential checker in every
+/// variant.
+enum BatchPlan {
     /// The root check already failed; zero tasks.
     RootFailed(PvViolation),
     /// One task running every node sequentially with early exit (the
@@ -668,7 +646,7 @@ pub(crate) enum BatchPlan {
 
 impl BatchPlan {
     /// Number of tasks this document contributes to the grouped region.
-    pub(crate) fn task_count(&self) -> usize {
+    fn task_count(&self) -> usize {
         match self {
             BatchPlan::RootFailed(_) => 0,
             BatchPlan::Whole => 1,
@@ -677,7 +655,7 @@ impl BatchPlan {
     }
 
     /// Folds the group's task results into the document outcome.
-    pub(crate) fn reduce(
+    fn reduce(
         &self,
         results: Vec<Option<(Option<PvViolation>, RecognizerStats)>>,
     ) -> PvOutcome {
@@ -693,13 +671,13 @@ impl BatchPlan {
 }
 
 /// The deterministic document-order reduction shared by every sharded
-/// check (scoped parallel, two-level batch, and the engine's pooled
-/// paths): folds per-node `(violation, stats)` results in document order,
-/// stopping at the first violation exactly as the sequential scan would.
+/// check (the parallel document check and the two-level batch): folds
+/// per-node `(violation, stats)` results in document order, stopping at
+/// the first violation exactly as the sequential scan would.
 /// `None` entries are nodes pruned *after* a known violation — the fold
 /// never reaches them, which the pruning protocol guarantees (the known
 /// first-failure index only ever decreases).
-pub(crate) fn reduce_node_results(
+fn reduce_node_results(
     per_node: impl IntoIterator<Item = Option<(Option<PvViolation>, RecognizerStats)>>,
 ) -> PvOutcome {
     let mut stats = RecognizerStats::default();

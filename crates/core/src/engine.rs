@@ -3,9 +3,9 @@
 //!
 //! [`crate::checker::PvChecker`] is a *borrowing* view — right for one-shot
 //! callers whose `DtdAnalysis` lives on the stack, wrong for a long-lived
-//! server that must hand work to persistent pool workers ([`pv_par::Pool`]
-//! regions are `'static`; see the pool docs for why). [`CheckEngine`] owns
-//! everything behind `Arc`s:
+//! server that shares one compiled DTD across connection threads and keeps
+//! it for as long as the handle is loaded. [`CheckEngine`] owns everything
+//! behind `Arc`s:
 //!
 //! * the compiled [`DtdAnalysis`],
 //! * the per-element DAG set (compiled **once**, at engine construction),
@@ -16,42 +16,42 @@
 //!
 //! Per request the engine derives a cheap checker *view*
 //! ([`CheckEngine::checker`], two `Arc` clones — no compilation), so every
-//! outcome flows through exactly the same code as the in-process paths;
-//! the differential suites (`tests/service_differential.rs`) hold the
-//! resulting bit-identity to the sequential checker.
+//! outcome flows through exactly the same code as the in-process paths:
+//! the pooled entry points are [`PvChecker::check_document_parallel`] and
+//! [`PvChecker::check_batch`] run as one region of a [`pv_par::Pool`],
+//! which caps the workers and runs one region at a time. The differential
+//! suites (`tests/service_differential.rs`) hold the resulting
+//! bit-identity to the sequential checker.
 //!
 //! ```
-//! use std::sync::Arc;
 //! use pv_core::engine::CheckEngine;
 //! use pv_dtd::builtin::BuiltinDtd;
 //!
 //! let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
 //! let pool = pv_par::Pool::new(2);
-//! let doc = Arc::new(pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap());
+//! let doc = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
 //!
 //! let pooled = engine.check_document_pooled(&doc, &pool, 0, true);
 //! assert_eq!(pooled, engine.checker().check_document(&doc));
 //! ```
 
-use crate::checker::{reduce_node_results, BatchPlan, PvChecker, PvOutcome, ScratchStash};
+use crate::checker::{PvChecker, PvOutcome};
 use crate::dag::DagSet;
 use crate::depth::DepthPolicy;
 use crate::memo::{MemoStats, ShapeCache};
-use crate::recognizer::RecognizerStats;
 use pv_dtd::budget::StaticReport;
 use pv_dtd::DtdAnalysis;
 use pv_obs::{Counter, Histogram, Registry};
 use pv_par::Pool;
-use pv_xml::{Document, NodeId};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use pv_xml::Document;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The engine's metric handles (`pv_engine_*`). Default is all no-ops;
 /// [`CheckEngine::with_policy_observed`] registers live ones. Recording
 /// happens at document granularity only — the per-node hot path is never
-/// touched, which is what keeps the measured overhead inside the budget
-/// the ISSUE sets (≤ 2% on scaling medians).
+/// touched, which is what keeps the measured overhead inside its budget
+/// (≤ 2% on scaling medians).
 #[derive(Default, Clone)]
 struct EngineObs {
     /// Wall-clock of one document check (recognize + memo + reduction).
@@ -112,13 +112,6 @@ pub struct CheckEngine {
 }
 
 impl CheckEngine {
-    /// Documents below this many element nodes are checked sequentially
-    /// even when a pool is supplied. Dispatching a pool region costs
-    /// single-digit microseconds (a condvar round-trip — not the ~100 µs
-    /// thread spawn behind [`PvChecker::PARALLEL_MIN_NODES`]), so the
-    /// pooled break-even sits far lower than the scoped one.
-    pub const POOLED_MIN_NODES: usize = 64;
-
     /// Builds an engine with the default (automatic) depth policy and
     /// shape memoization on.
     pub fn new(analysis: DtdAnalysis) -> Arc<CheckEngine> {
@@ -223,148 +216,69 @@ impl CheckEngine {
         }
     }
 
-    /// Checks one document with per-node recognizer runs sharded over the
-    /// persistent pool's workers (`jobs` caps participation; `0` = all of
-    /// them). `memo` toggles the shared shape cache for this check
-    /// (`false` gives each worker a detached cache-less view — the
-    /// diagnostic path; outcomes are identical either way). The outcome
-    /// is **bit-identical** to [`PvChecker::check_document`] — same
-    /// reduction discipline as [`PvChecker::check_document_parallel`],
-    /// same per-node code, with the region dispatched to parked workers
-    /// instead of freshly spawned ones. Small documents (below
-    /// [`CheckEngine::POOLED_MIN_NODES`]) and `jobs <= 1` run sequentially
-    /// on the calling thread.
+    /// Checks one document with per-node recognizer runs sharded over
+    /// the pool's workers (`jobs` caps participation; `0` = all of them):
+    /// [`PvChecker::check_document_parallel`] on [`CheckEngine::checker`],
+    /// run as one [`Pool::region`]. `memo` toggles the shared shape cache
+    /// for this check (`false` detaches it — the diagnostic path;
+    /// outcomes are identical either way). The outcome is
+    /// **bit-identical** to [`PvChecker::check_document`]. Documents the
+    /// parallel checker would not shard (below
+    /// [`PvChecker::PARALLEL_MIN_NODES`], or `jobs <= 1`) run
+    /// sequentially on the calling thread without taking a region.
     pub fn check_document_pooled(
-        self: &Arc<Self>,
-        doc: &Arc<Document>,
+        &self,
+        doc: &Document,
         pool: &Pool,
         jobs: usize,
         memo: bool,
     ) -> PvOutcome {
         let t0 = self.obs.check_us.start();
-        let outcome = self.check_document_pooled_inner(doc, pool, jobs, memo);
-        self.obs.record(t0, doc.element_count(), &outcome);
+        let mut checker = self.checker();
+        checker.set_memo_enabled(memo);
+        let jobs = pool.participants(jobs);
+        let nodes = doc.element_count();
+        let outcome = if PvChecker::shards(doc, jobs) {
+            pool.region(nodes, || checker.check_document_parallel(doc, jobs))
+        } else {
+            checker.check_document(doc)
+        };
+        self.obs.record(t0, nodes, &outcome);
         outcome
     }
 
-    fn check_document_pooled_inner(
-        self: &Arc<Self>,
-        doc: &Arc<Document>,
-        pool: &Pool,
-        jobs: usize,
-        memo: bool,
-    ) -> PvOutcome {
-        if pool.participants(jobs) <= 1 || doc.element_count() < Self::POOLED_MIN_NODES {
-            let mut checker = self.checker();
-            checker.set_memo_enabled(memo);
-            return checker.check_document(doc);
-        }
-        if let Some(v) = self.checker().check_root(doc) {
-            return PvOutcome { violation: Some(v), stats: RecognizerStats::default() };
-        }
-        let nodes: Arc<Vec<NodeId>> = Arc::new(doc.elements().collect());
-        let first_bad = Arc::new(AtomicUsize::new(usize::MAX));
-        let len = nodes.len();
-        let engine = Arc::clone(self);
-        let doc = Arc::clone(doc);
-        let task_nodes = Arc::clone(&nodes);
-        let fb = Arc::clone(&first_bad);
-        let per_node = pool.run(jobs, len, move |scope| {
-            // Once per worker per region: a checker view over the shared
-            // parts and a scratch re-armed from the worker's sticky stash.
-            let mut checker = engine.checker();
-            checker.set_memo_enabled(memo);
-            let stash = scope.sticky().take::<ScratchStash>().unwrap_or_default();
-            let mut scratch = checker.scratch_from(stash);
-            while let Some(i) = scope.claim() {
-                if i > fb.load(Ordering::Relaxed) {
-                    scope.put(i, None); // after a known violation
-                    continue;
-                }
-                let mut stats = RecognizerStats::default();
-                let violation =
-                    checker.check_node_with(&doc, task_nodes[i], &mut stats, &mut scratch);
-                if violation.is_some() {
-                    fb.fetch_min(i, Ordering::Relaxed);
-                }
-                scope.put(i, Some((violation, stats)));
-            }
-            scope.sticky().put(scratch.into_stash());
-        });
-        reduce_node_results(per_node)
-    }
-
-    /// Checks a batch of documents on the persistent pool with the
-    /// two-level scheduler (whole documents first, node-range joins when
-    /// idle — the pooled sibling of [`PvChecker::check_batch`]). Outcome
+    /// Checks a batch of documents with the two-level scheduler (whole
+    /// documents first, node-range joins when idle):
+    /// [`PvChecker::check_batch`] on [`CheckEngine::checker`], run as one
+    /// [`Pool::region`] when more than one worker participates. Outcome
     /// `i` is bit-identical to `check_document(&docs[i])`.
     pub fn check_batch_pooled(
-        self: &Arc<Self>,
-        docs: &Arc<Vec<Document>>,
+        &self,
+        docs: &[Document],
         pool: &Pool,
         jobs: usize,
     ) -> Vec<PvOutcome> {
         let t0 = self.obs.batch_us.start();
-        let outcomes = self.check_batch_pooled_inner(docs, pool, jobs);
+        let checker = self.checker();
+        let jobs = pool.participants(jobs);
+        let outcomes = if jobs > 1 {
+            let nodes = docs.iter().map(Document::element_count).sum();
+            pool.region(nodes, || checker.check_batch(docs, jobs))
+        } else {
+            checker.check_batch(docs, 1)
+        };
         self.obs.batch_us.observe_since(t0);
         for (doc, outcome) in docs.iter().zip(&outcomes) {
             self.obs.record(None, doc.element_count(), outcome);
         }
         outcomes
     }
-
-    fn check_batch_pooled_inner(
-        self: &Arc<Self>,
-        docs: &Arc<Vec<Document>>,
-        pool: &Pool,
-        jobs: usize,
-    ) -> Vec<PvOutcome> {
-        let effective = pool.participants(jobs);
-        if effective <= 1 {
-            let checker = self.checker();
-            let mut scratch = checker.scratch();
-            return docs.iter().map(|d| checker.check_document_with(d, &mut scratch)).collect();
-        }
-        // The shared scheduling plan: most documents are one task each,
-        // batch-dominating ones are node-granular joinable groups, root
-        // failures contribute nothing (see `BatchPlan` in the checker
-        // module).
-        let checker = self.checker();
-        let total_nodes: usize = docs.iter().map(Document::element_count).sum();
-        let split = PvChecker::batch_split_threshold(effective, total_nodes);
-        let plans: Arc<Vec<BatchPlan>> =
-            Arc::new(docs.iter().map(|d| checker.plan_document(d, split)).collect());
-        drop(checker);
-        let sizes: Vec<usize> = plans.iter().map(BatchPlan::task_count).collect();
-        let first_bad: Arc<Vec<AtomicUsize>> =
-            Arc::new(docs.iter().map(|_| AtomicUsize::new(usize::MAX)).collect());
-        let engine = Arc::clone(self);
-        let task_docs = Arc::clone(docs);
-        let task_plans = Arc::clone(&plans);
-        let fb = Arc::clone(&first_bad);
-        let per_doc = pool.run_grouped(jobs, &sizes, move |scope| {
-            let checker = engine.checker();
-            let stash = scope.sticky().take::<ScratchStash>().unwrap_or_default();
-            let mut scratch = checker.scratch_from(stash);
-            while let Some((g, i)) = scope.claim() {
-                let r = checker.run_batch_task(
-                    &task_docs[g],
-                    &task_plans[g],
-                    &fb[g],
-                    i,
-                    &mut scratch,
-                );
-                scope.put(g, i, r);
-            }
-            scope.sticky().put(scratch.into_stash());
-        });
-        plans.iter().zip(per_doc).map(|(plan, results)| plan.reduce(results)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::TEST_PANIC_ATTR;
     use pv_dtd::builtin::BuiltinDtd;
 
     fn wide_doc(reps: usize, poison: bool) -> Document {
@@ -412,28 +326,42 @@ mod tests {
         }
     }
 
+    /// Documents on both sides of [`PvChecker::PARALLEL_MIN_NODES`], in
+    /// every verdict state.
+    fn mixed_docs() -> Vec<Document> {
+        vec![
+            wide_doc(150, false),
+            wide_doc(150, true),
+            wide_doc(40, true),
+            pv_xml::parse("<a><b/></a>").unwrap(), // root mismatch
+            pv_xml::parse("<r><zzz/></r>").unwrap(), // undeclared element
+            pv_xml::parse("<r/>").unwrap(),
+        ]
+    }
+
+    /// What a fresh memo-less checker says about each document.
+    fn expected(docs: &[Document]) -> Vec<PvOutcome> {
+        let analysis = BuiltinDtd::Figure1.analysis();
+        let mut plain = PvChecker::new(&analysis);
+        plain.set_memo_enabled(false);
+        docs.iter().map(|d| plain.check_document(d)).collect()
+    }
+
     #[test]
     fn pooled_document_check_bit_identical() {
         let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let pool = Pool::new(4);
-        let analysis = BuiltinDtd::Figure1.analysis();
-        let mut plain = PvChecker::new(&analysis);
-        plain.set_memo_enabled(false);
-        for doc in [
-            wide_doc(60, false),
-            wide_doc(60, true),
-            pv_xml::parse("<a><b/></a>").unwrap(), // root mismatch
-            pv_xml::parse("<r><zzz/></r>").unwrap(), // undeclared element
-            pv_xml::parse("<r/>").unwrap(),        // tiny: sequential path
-        ] {
-            let doc = Arc::new(doc);
-            let expect = plain.check_document(&doc);
+        let docs = mixed_docs();
+        assert!(docs[0].element_count() >= PvChecker::PARALLEL_MIN_NODES);
+        for (doc, expect) in docs.iter().zip(expected(&docs)) {
             for jobs in [0usize, 1, 2, 8] {
-                assert_eq!(
-                    engine.check_document_pooled(&doc, &pool, jobs, true),
-                    expect,
-                    "jobs={jobs}"
-                );
+                for memo in [true, false] {
+                    assert_eq!(
+                        engine.check_document_pooled(doc, &pool, jobs, memo),
+                        expect,
+                        "jobs={jobs} memo={memo}"
+                    );
+                }
             }
         }
     }
@@ -442,25 +370,20 @@ mod tests {
     fn pooled_batch_bit_identical_and_pool_reusable() {
         let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let pool = Pool::new(3);
-        let docs: Arc<Vec<Document>> = Arc::new(
-            (0..10)
-                .map(|i| {
-                    if i == 4 {
-                        pv_xml::parse("<x><b/></x>").unwrap() // root mismatch
-                    } else if i == 7 {
-                        // Above PARALLEL_MIN_NODES: exercises the
-                        // node-granular (joinable) plan, poisoned.
-                        wide_doc(400, true)
-                    } else {
-                        wide_doc(30 + i, i % 3 == 0)
-                    }
-                })
-                .collect(),
-        );
-        let analysis = BuiltinDtd::Figure1.analysis();
-        let mut plain = PvChecker::new(&analysis);
-        plain.set_memo_enabled(false);
-        let expect: Vec<PvOutcome> = docs.iter().map(|d| plain.check_document(d)).collect();
+        let docs: Vec<Document> = (0..10)
+            .map(|i| {
+                if i == 4 {
+                    pv_xml::parse("<x><b/></x>").unwrap() // root mismatch
+                } else if i == 7 {
+                    // Above PARALLEL_MIN_NODES: exercises the
+                    // node-granular (joinable) plan, poisoned.
+                    wide_doc(400, true)
+                } else {
+                    wide_doc(30 + i, i % 3 == 0)
+                }
+            })
+            .collect();
+        let expect = expected(&docs);
         for round in 0..3 {
             for jobs in [0usize, 1, 2, 8] {
                 assert_eq!(
@@ -472,6 +395,85 @@ mod tests {
         }
         // The shared cache is warm now; outcomes must not have drifted.
         assert!(engine.memo_stats().unwrap().hits > 0);
+    }
+
+    #[test]
+    fn task_panic_reaches_the_caller_and_the_pool_recovers() {
+        let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        let pool = Pool::new(2);
+        let docs = mixed_docs();
+        let expect = expected(&docs);
+        // A large potentially valid document whose last `<a>` panics when
+        // checked.
+        let mut xml = wide_doc(150, false).to_xml();
+        let last = xml.rfind("<a>").unwrap();
+        xml.replace_range(last..last + 3, &format!("<a {TEST_PANIC_ATTR}=\"\">"));
+        let bad = pv_xml::parse(&xml).unwrap();
+        assert!(PvChecker::shards(&bad, 2));
+        for round in 0..2 {
+            let doc_panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.check_document_pooled(&bad, &pool, 2, true)
+            }));
+            assert!(doc_panic.is_err(), "round {round}: document check must panic");
+            let batch = vec![docs[0].clone(), bad.clone(), docs[1].clone()];
+            let batch_panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.check_batch_pooled(&batch, &pool, 2)
+            }));
+            assert!(batch_panic.is_err(), "round {round}: batch check must panic");
+            // The next regions on the same pool take over its poisoned
+            // lock and answer exactly as before.
+            for (doc, expect) in docs.iter().zip(&expect) {
+                assert_eq!(&engine.check_document_pooled(doc, &pool, 2, true), expect);
+            }
+            assert_eq!(engine.check_batch_pooled(&docs, &pool, 2), expect);
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_pool() {
+        let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        let pool = Pool::new(2);
+        let docs = mixed_docs();
+        let expect = expected(&docs);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (engine, pool, docs, expect) = (&engine, &pool, &docs, &expect);
+                s.spawn(move || {
+                    for round in 0..4 {
+                        let memo = (t + round) % 2 == 0;
+                        for (doc, expect) in docs.iter().zip(expect) {
+                            assert_eq!(&engine.check_document_pooled(doc, pool, 0, memo), expect);
+                        }
+                        assert_eq!(&engine.check_batch_pooled(docs, pool, 0), expect);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn observed_pool_counts_regions_and_tasks() {
+        let registry = Registry::new();
+        let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        let pool = Pool::new_observed(2, &registry);
+        let docs = mixed_docs();
+        let (big, small) = (&docs[0], &docs[2]);
+        // Sharded document and multi-worker batch: one region each.
+        engine.check_document_pooled(big, &pool, 2, true);
+        engine.check_batch_pooled(&docs, &pool, 0);
+        // Sequential fallbacks take no region.
+        engine.check_document_pooled(small, &pool, 2, true);
+        engine.check_document_pooled(big, &pool, 1, true);
+        engine.check_batch_pooled(&docs, &pool, 1);
+        let batch_nodes: usize = docs.iter().map(Document::element_count).sum();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["pv_pool_regions_total"], 2);
+        assert_eq!(
+            snap.counters["pv_pool_tasks_total"],
+            (big.element_count() + batch_nodes) as u64
+        );
+        assert_eq!(snap.histograms["pv_pool_region_us"].count, 2);
+        assert_eq!(snap.histograms["pv_pool_region_tasks"].max, batch_nodes as u64);
     }
 
     #[test]

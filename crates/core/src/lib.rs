@@ -34,8 +34,8 @@
 //!   offending node and symbol.
 //! * [`engine`] — the owned, `Arc`-shareable sibling of the checker for
 //!   resident services: pre-compiled DAGs, a warm cross-request shape
-//!   cache, and check entry points that dispatch onto a persistent
-//!   [`pv_par::Pool`].
+//!   cache, and parallel check entry points bounded by a shared
+//!   [`pv_par::Pool`] worker cap.
 //! * [`memo`] — shape-memoized verdicts: child-symbol sequences are
 //!   hash-consed into interned shapes and `(element, shape)` ECPV results
 //!   are cached with their stats delta, so repetitive markup checks in
@@ -85,7 +85,7 @@ pub mod stream;
 pub mod suggest;
 pub mod token;
 
-pub use checker::{CheckScratch, PvChecker, PvOutcome, PvViolation, PvViolationKind, ScratchStash};
+pub use checker::{CheckScratch, PvChecker, PvOutcome, PvViolation, PvViolationKind};
 pub use engine::CheckEngine;
 pub use dag::{DagNode, DagNodeKind, DagSet, ElementDag};
 pub use depth::DepthPolicy;

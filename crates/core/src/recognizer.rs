@@ -173,14 +173,15 @@ impl RecognizerStats {
 }
 
 /// Lifetime-free heap buffers recovered from a retiring recognizer, so a
-/// persistent pool worker can carry warmed capacities **across** parallel
-/// regions (a [`EcRecognizer`] itself borrows the checker's DAGs and
-/// cannot outlive one region; its plain-data buffers can).
+/// streaming checker can hand warmed capacities to the next document's
+/// checker ([`crate::stream::StreamChecker::seed_buffers`]; an
+/// [`EcRecognizer`] itself borrows the checker's DAGs and cannot outlive
+/// it, but its plain-data buffers can).
 ///
 /// Only the buffers whose element types carry no borrow are recoverable:
 /// the current/next generation bitmaps and the two speculation-round
 /// queues. The entry lists hold in-progress nested recognizers (borrowed)
-/// and are rebuilt per region; they reach steady-state capacity within
+/// and are rebuilt per checker; they reach steady-state capacity within
 /// the first node or two, so the loss is noise.
 #[derive(Default)]
 pub struct RecBuffers {

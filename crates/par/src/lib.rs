@@ -30,11 +30,11 @@
 //!   workers *join* a started group's remaining index range — the
 //!   cross-document pipelining a batch mixing one giant document with
 //!   many small ones needs.
-//! * **A persistent pool** ([`Pool`]): the same deques and scheduling on
-//!   long-lived parked workers for resident servers, where per-region
-//!   thread spawning would dominate small requests. Pool regions are
-//!   `'static` (state shared via `Arc`); the scoped entry points stay the
-//!   borrowing path. See the [`pool`](Pool) docs for why both exist.
+//! * **A worker cap for servers** ([`Pool`]): a handle, not a runtime. It
+//!   caps how many workers one region may use and runs a resident
+//!   service's regions one at a time, so concurrent requests never run
+//!   more than the cap's worth of workers. The regions themselves run on
+//!   the scoped maps above — there is one scheduler.
 //!
 //! ## Quick start
 //!
@@ -54,7 +54,7 @@
 mod pool;
 mod queue;
 
-pub use pool::{GroupScope, Pool, Sticky, WorkerScope};
+pub use pool::Pool;
 use queue::{GroupCounters, GroupQueues, StealQueues};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -174,7 +174,7 @@ impl GroupQueues {
     /// incremental). `None` means no claimable task is left anywhere —
     /// tasks another worker already claimed may still be *executing*; the
     /// region join covers that.
-    pub(crate) fn next_chunk(
+    fn next_chunk(
         &self,
         w: usize,
         current: &mut Option<usize>,

@@ -3,14 +3,14 @@
 //! The paper's payoff is *interactive-speed* checking; the ROADMAP's north
 //! star is a production system serving heavy traffic. Between them sits a
 //! deployment fact: a checker process that starts, compiles the DTD, cold
-//! caches, spawns threads, checks one document, and exits pays more in
-//! setup than in checking. This crate keeps all of that **resident**:
+//! caches, checks one document, and exits pays more in setup than in
+//! checking. This crate keeps the expensive part **resident**:
 //!
-//! * a [`Server`] holding a persistent [`pv_par::Pool`] (parked workers —
-//!   a parallel region costs a condvar round-trip, not thread spawns) and
-//!   one [`pv_core::engine::CheckEngine`] per loaded DTD (pre-compiled
-//!   DAGs and a **warm shape cache** shared across requests and
-//!   connections);
+//! * a [`Server`] holding one [`pv_core::engine::CheckEngine`] per loaded
+//!   DTD (pre-compiled DAGs and a **warm shape cache** shared across
+//!   requests and connections) and a [`pv_par::Pool`] worker cap (parallel
+//!   checks run on pv-par's scoped work-stealing maps, one region at a
+//!   time, so the server never runs more workers than the cap);
 //! * a newline-framed, length-prefixed wire [`proto`]col over unix
 //!   sockets or loopback TCP (`LOAD`/`BUILTIN`, `CHECK`, `BATCH`,
 //!   `STATS`, `RESET`, `SHUTDOWN`);

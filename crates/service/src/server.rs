@@ -1,11 +1,12 @@
 //! The resident validation server.
 //!
-//! One process holds the expensive state — a persistent [`Pool`] of
-//! parked workers and, per loaded DTD, a [`CheckEngine`] whose compiled
-//! DAGs and **warm shape cache** outlive every request — and serves the
+//! One process holds the expensive state — per loaded DTD, a
+//! [`CheckEngine`] whose compiled DAGs and **warm shape cache** outlive
+//! every request, plus one [`Pool`] worker cap — and serves the
 //! [`crate::proto`] protocol over a unix socket or a loopback TCP port.
 //! Each connection gets a thread (requests within a connection are
-//! sequential; the pool serializes parallel regions across connections),
+//! sequential; the pool runs parallel regions one at a time across
+//! connections, so the server never runs more workers than its cap),
 //! and every check flows through exactly the same `pv-core` code as the
 //! in-process entry points, so outcomes are bit-identical to
 //! `PvChecker::check_document` — `tests/service_differential.rs` holds
@@ -507,8 +508,8 @@ impl MetricsSource {
 pub struct Server;
 
 impl Server {
-    /// Binds and starts serving in background threads. `jobs` sizes the
-    /// persistent pool (`0` = one worker per CPU). Governance runs with
+    /// Binds and starts serving in background threads. `jobs` is the
+    /// pool's worker cap (`0` = one worker per CPU). Governance runs with
     /// [`GovernorConfig::default`].
     pub fn bind(endpoint: &Endpoint, jobs: usize) -> io::Result<ServerHandle> {
         Self::bind_with(endpoint, jobs, GovernorConfig::default())
@@ -746,15 +747,39 @@ fn verdict_over(pv: impl IntoIterator<Item = bool>) -> &'static str {
     }
 }
 
-/// The verdict column of a served request: a refused or failed request
-/// (any disposition but `ok`) is logged `error`, whatever it decided.
-fn logged_verdict(disposition: &str, verdict: &'static str) -> &'static str {
-    if disposition == "ok" {
-        verdict
-    } else {
-        "error"
+/// Why a served request produced no result.
+enum Refusal {
+    /// An application error (unknown handle, malformed document, bad
+    /// DTD, …), carrying its message.
+    App(String),
+    /// Shed at the in-flight limit; the message names the limit.
+    Busy(&'static str),
+}
+
+impl From<String> for Refusal {
+    fn from(msg: String) -> Refusal {
+        Refusal::App(msg)
     }
 }
+
+/// A served request before rendering: the `ok:true` body plus the
+/// access-log verdict over the documents it decided ([`verdict_over`]),
+/// or the refusal.
+type Reply = Result<(String, &'static str), Refusal>;
+
+/// Renders a reply as its response body, access-log disposition and
+/// verdict column — the one place a refusal becomes an `ok:false` body.
+/// A refused request is logged with verdict `error`.
+fn render(reply: Reply) -> (String, &'static str, &'static str) {
+    match reply {
+        Ok((body, verdict)) => (body, "ok", verdict),
+        Err(Refusal::App(msg)) => (err_response(&msg), "app_error", "error"),
+        Err(Refusal::Busy(msg)) => (err_response_kind("busy", msg), "shed", "error"),
+    }
+}
+
+/// The shed message of a pool-bound request at the in-flight limit.
+const INFLIGHT_BUSY: &str = "server is at its in-flight request limit";
 
 /// Registers the connection's control block, runs the request loop, and
 /// deregisters on any exit path.
@@ -861,16 +886,40 @@ fn connection_loop(
                 let _ = respond(reader.get_mut(), err_response(&msg));
                 return Ok(());
             }
-            Frame::Req(Request::CheckStream { handle }) => {
+            Frame::Req(req @ (Request::CheckStream { .. } | Request::BatchStream { .. })) => {
                 // The chunks are still on the wire: consume them here,
-                // feeding the streaming checker as they arrive, so the
+                // feeding the streaming checkers as they arrive, so the
                 // client's upload and the server's validation overlap.
                 // The gap between chunks is idleness (a trickling client
                 // is fine); each read waits under the idle deadline.
-                let inflight = gov.try_inflight();
-                let shed = inflight.is_none();
                 let _ = reader.get_ref().set_read_timeout(gov.config.idle_timeout);
-                match handle_check_stream(&mut reader, &handle, state, inflight) {
+                let (handle, streamed) = match req {
+                    Request::CheckStream { handle } => {
+                        let streamed =
+                            handle_check_stream(&mut reader, &handle, state, gov.try_inflight());
+                        (handle, streamed)
+                    }
+                    Request::BatchStream { handle, count } => {
+                        // The governor accounts one in-flight unit per
+                        // stream, acquired all-or-nothing: a batch the
+                        // server cannot fully admit is shed whole
+                        // (drained, answered `busy`) rather than checked
+                        // partially.
+                        let mut permits = Vec::with_capacity(count);
+                        while permits.len() < count {
+                            match gov.try_inflight() {
+                                Some(p) => permits.push(p),
+                                None => break,
+                            }
+                        }
+                        let permits = (permits.len() == count).then_some(permits);
+                        let streamed =
+                            handle_batch_stream(&mut reader, &handle, count, state, permits);
+                        (handle, streamed)
+                    }
+                    _ => unreachable!("matched as a stream request above"),
+                };
+                match streamed {
                     Err(e) if is_timeout(&e) => {
                         gov.note_timeout();
                         let access =
@@ -880,15 +929,10 @@ fn connection_loop(
                         return Ok(());
                     }
                     Err(e) => return Err(e),
-                    Ok((StreamBody::Done(body, verdict), bytes)) => {
-                        let disp = if shed { "shed" } else { disposition_of(&body) };
-                        let access = Access {
-                            op: &op,
-                            handle: &handle,
-                            bytes,
-                            dur: t0.elapsed(),
-                            verdict: logged_verdict(disp, verdict),
-                        };
+                    Ok((StreamBody::Done(reply), bytes)) => {
+                        let (body, disp, verdict) = render(reply);
+                        let access =
+                            Access { op: &op, handle: &handle, bytes, dur: t0.elapsed(), verdict };
                         gov.log_request(conn_id, &access, disp);
                         state.observe_request(&op, disp, t0, Vec::new());
                         respond(reader.get_mut(), body)?;
@@ -910,91 +954,24 @@ fn connection_loop(
                     }
                 }
             }
-            Frame::Req(Request::BatchStream { handle, count }) => {
-                // Like CHECK_STREAM, the frames are still on the wire.
-                // The governor accounts one in-flight unit per stream,
-                // acquired all-or-nothing: a batch the server cannot
-                // fully admit is shed whole (drained, answered `busy`)
-                // rather than checked partially.
-                let mut permits = Vec::with_capacity(count);
-                while permits.len() < count {
-                    match gov.try_inflight() {
-                        Some(p) => permits.push(p),
-                        None => break,
-                    }
-                }
-                let shed = permits.len() < count;
-                let permits = (!shed).then_some(permits);
-                let _ = reader.get_ref().set_read_timeout(gov.config.idle_timeout);
-                match handle_batch_stream(&mut reader, &handle, count, state, permits) {
-                    Err(e) if is_timeout(&e) => {
-                        gov.note_timeout();
-                        let access =
-                            Access { op: &op, handle: &handle, dur: t0.elapsed(), ..Access::default() };
-                        gov.log_request(conn_id, &access, "read_timeout");
-                        state.observe_request(&op, "read_timeout", t0, Vec::new());
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
-                    Ok((StreamBody::Done(body, verdict), bytes)) => {
-                        let disp = if shed { "shed" } else { disposition_of(&body) };
-                        let access = Access {
-                            op: &op,
-                            handle: &handle,
-                            bytes,
-                            dur: t0.elapsed(),
-                            verdict: logged_verdict(disp, verdict),
-                        };
-                        gov.log_request(conn_id, &access, disp);
-                        state.observe_request(&op, disp, t0, Vec::new());
-                        respond(reader.get_mut(), body)?;
-                    }
-                    Ok((StreamBody::Abort(msg), bytes)) => {
-                        let access = Access {
-                            op: &op,
-                            handle: &handle,
-                            bytes,
-                            dur: t0.elapsed(),
-                            verdict: "-",
-                        };
-                        gov.log_request(conn_id, &access, "framing_error");
-                        state.observe_request(&op, "framing_error", t0, Vec::new());
-                        let _ = respond(reader.get_mut(), err_response(&msg));
-                        return Ok(());
-                    }
-                }
-            }
             Frame::Req(req) => {
                 let shutdown = matches!(req, Request::Shutdown);
                 let handle = request_handle(&req).unwrap_or("-").to_owned();
                 let bytes = request_bytes(&req);
                 let mut stages = vec![("read".to_owned(), read_us)];
-                let served = |req, stages: &mut Vec<(String, u64)>| {
-                    let (body, verdict) = handle_request(req, state, stages);
-                    let disp = disposition_of(&body);
-                    (body, disp, verdict)
-                };
-                let (body, disp, verdict) = match req {
+                let reply = match req {
                     // Pool-bound work honours the in-flight cap: past it
                     // the request is shed with a clean `busy` error and
                     // the connection stays usable.
                     Request::Check { .. } | Request::Batch { .. } => match gov.try_inflight() {
-                        Some(_permit) => served(req, &mut stages),
-                        None => (
-                            err_response_kind("busy", "server is at its in-flight request limit"),
-                            "shed",
-                            "-",
-                        ),
+                        Some(_permit) => handle_request(req, state, &mut stages),
+                        None => Err(Refusal::Busy(INFLIGHT_BUSY)),
                     },
-                    req => served(req, &mut stages),
+                    req => handle_request(req, state, &mut stages),
                 };
-                let access = Access {
-                    op: &op,
-                    handle: &handle,
-                    bytes,
-                    dur: t0.elapsed(),
-                    verdict: logged_verdict(disp, verdict),
-                };
+                let (body, disp, verdict) = render(reply);
+                let access =
+                    Access { op: &op, handle: &handle, bytes, dur: t0.elapsed(), verdict };
                 gov.log_request(conn_id, &access, disp);
                 state.observe_request(&op, disp, t0, stages);
                 respond(reader.get_mut(), body)?;
@@ -1006,15 +983,6 @@ fn connection_loop(
                 }
             }
         }
-    }
-}
-
-/// The access-log disposition for a response that was actually served.
-fn disposition_of(body: &str) -> &'static str {
-    if body.starts_with("{\"ok\":true") {
-        "ok"
-    } else {
-        "app_error"
     }
 }
 
@@ -1040,12 +1008,11 @@ fn request_bytes(req: &Request) -> usize {
     }
 }
 
-/// How a `CHECK_STREAM` body ended.
+/// How a `CHECK_STREAM` or `BATCH_STREAM` body ended.
 enum StreamBody {
-    /// All chunks consumed cleanly; respond with the body and keep the
-    /// connection. The access-log verdict over the decided documents
-    /// rides along.
-    Done(String, &'static str),
+    /// All chunks consumed cleanly; respond with the rendered reply and
+    /// keep the connection.
+    Done(Reply),
     /// Chunk framing broke; respond and close the connection.
     Abort(String),
 }
@@ -1111,31 +1078,24 @@ fn handle_check_stream(
             }
         }
     }
-    if inflight.is_none() {
-        return Ok((
-            StreamBody::Done(
-                err_response_kind("busy", "server is at its in-flight request limit"),
-                "-",
-            ),
-            total,
-        ));
-    }
-    let mut verdict = "-";
-    let body = match (&entry, parse_err) {
-        (Err(e), _) => err_response(e),
-        (Ok(_), Some(e)) => err_response(&format!("document is not well-formed: {e}")),
-        (Ok(entry), None) => match stream.take().expect("stream built for live entry").finish() {
-            Err(e) => err_response(&format!("document is not well-formed: {e}")),
+    let reply = match (inflight, &entry, parse_err) {
+        (None, _, _) => Err(Refusal::Busy(INFLIGHT_BUSY)),
+        (_, Err(e), _) => Err(Refusal::App(e.clone())),
+        (_, Ok(_), Some(e)) => Err(Refusal::App(format!("document is not well-formed: {e}"))),
+        (_, Ok(entry), None) => match stream.take().expect("stream built for live entry").finish() {
+            Err(e) => Err(Refusal::App(format!("document is not well-formed: {e}"))),
             Ok(outcome) => {
                 state.record(1, &outcome.stats);
-                verdict = verdict_over([outcome.is_potentially_valid()]);
                 // Streaming never touches the shape memo, so the reply's
                 // memo field is always null (same JSON shape as CHECK).
-                check_response(&outcome, entry, false)
+                Ok((
+                    check_response(&outcome, entry, false),
+                    verdict_over([outcome.is_potentially_valid()]),
+                ))
             }
         },
     };
-    Ok((StreamBody::Done(body, verdict), total))
+    Ok((StreamBody::Done(reply), total))
 }
 
 /// One `BATCH_STREAM` stream's server-side state.
@@ -1277,19 +1237,11 @@ fn handle_batch_stream(
         }
     }
     if shed {
-        return Ok((
-            StreamBody::Done(
-                err_response_kind(
-                    "busy",
-                    "server cannot admit all streams at its in-flight request limit",
-                ),
-                "-",
-            ),
-            total,
-        ));
+        let busy = "server cannot admit all streams at its in-flight request limit";
+        return Ok((StreamBody::Done(Err(Refusal::Busy(busy))), total));
     }
     let entry = match &entry {
-        Err(e) => return Ok((StreamBody::Done(err_response(e), "-"), total)),
+        Err(e) => return Ok((StreamBody::Done(Err(Refusal::App(e.clone()))), total)),
         Ok(entry) => entry,
     };
     let mut out = String::from("{\"ok\":true,\"streams\":[");
@@ -1307,11 +1259,10 @@ fn handle_batch_stream(
     out.push_str(",\"class\":");
     json::write_str(&mut out, &entry.engine.analysis().rec.class.to_string());
     let _ = write!(out, ",\"depth\":{}}}", entry.engine.depth());
-    Ok((StreamBody::Done(out, verdict_over(decided)), total))
+    Ok((StreamBody::Done(Ok((out, verdict_over(decided)))), total))
 }
 
-/// Serves one buffered request, returning the response body and the
-/// access-log verdict over the documents it checked ([`verdict_over`]).
+/// Serves one buffered request, returning its [`Reply`].
 /// `stages` accumulates named stage wall-clocks (microseconds) for the
 /// slow-trace ring — the handler appends `parse`/`recognize`/`serialize`
 /// entries for the verbs that have those stages and leaves it untouched
@@ -1320,32 +1271,27 @@ fn handle_request(
     req: Request,
     state: &Arc<ServiceState>,
     stages: &mut Vec<(String, u64)>,
-) -> (String, &'static str) {
-    let mut verdict = "-";
+) -> Reply {
     let body = match req {
         Request::Ping => "{\"ok\":true,\"pong\":true}".to_owned(),
         Request::Shutdown => {
             state.shutdown.store(true, Ordering::SeqCst);
             "{\"ok\":true,\"shutting_down\":true}".to_owned()
         }
-        Request::Reset { handle } => match state.entry(&handle) {
-            Ok(entry) => {
-                // RESET opens a fresh telemetry window: the handle's
-                // cached verdicts AND its hit/miss counters go, along
-                // with the server-lifetime work totals, the request/
-                // document counters, and the metrics registry. Anything
-                // less leaves STATS mixing windows — old uptime totals
-                // against zeroed memo counters reads as a cache that
-                // never hits.
-                entry.engine.memo_reset();
-                *state.totals.lock().unwrap() = RecognizerStats::default();
-                state.requests.store(0, Ordering::Relaxed);
-                state.documents.store(0, Ordering::Relaxed);
-                state.obs.reset();
-                "{\"ok\":true}".to_owned()
-            }
-            Err(e) => err_response(&e),
-        },
+        Request::Reset { handle } => {
+            // RESET opens a fresh telemetry window: the handle's cached
+            // verdicts AND its hit/miss counters go, along with the
+            // server-lifetime work totals, the request/document
+            // counters, and the metrics registry. Anything less leaves
+            // STATS mixing windows — old uptime totals against zeroed
+            // memo counters reads as a cache that never hits.
+            state.entry(&handle)?.engine.memo_reset();
+            *state.totals.lock().unwrap() = RecognizerStats::default();
+            state.requests.store(0, Ordering::Relaxed);
+            state.documents.store(0, Ordering::Relaxed);
+            state.obs.reset();
+            "{\"ok\":true}".to_owned()
+        }
         Request::Metrics => metrics_response(state),
         Request::Builtin { name } => {
             let result = state.intern(&format!("builtin\u{0}{name}"), || {
@@ -1356,7 +1302,7 @@ fn handle_request(
                     .ok_or_else(|| format!("unknown builtin {name:?}"))?;
                 Ok((b.analysis(), format!("builtin:{name}")))
             });
-            load_response(result)
+            load_response(result?)
         }
         Request::Load { root, source } => {
             let result = state.intern(&format!("load\u{0}{root}\u{0}{source}"), || {
@@ -1364,7 +1310,7 @@ fn handle_request(
                     .map_err(|e| format!("DTD error: {e}"))?;
                 Ok((analysis, format!("loaded:{root}")))
             });
-            load_response(result)
+            load_response(result?)
         }
         Request::Stats => {
             let totals = *state.totals.lock().unwrap();
@@ -1425,97 +1371,75 @@ fn handle_request(
             out.push_str("]}");
             out
         }
-        Request::Check { handle, jobs, memo, xml } => match state.entry(&handle) {
-            Ok(entry) => {
-                let m = &state.metrics;
-                let pt = m.parse_us.start();
-                let parsed = pv_xml::parse(&xml);
-                if let Some(us) = m.parse_us.observe_since(pt) {
-                    stages.push(("parse".to_owned(), us));
-                }
-                match parsed {
-                    Ok(doc) => {
-                        // Everything runs on the resident pool (never a
-                        // per-request thread spawn); `jobs` follows the
-                        // documented semantics (0 = all pool workers, 1 =
-                        // sequential) and `memo=0` detaches the shared cache
-                        // without changing the scheduling.
-                        let rt = m.recognize_us.start();
-                        let outcome = entry.engine.check_document_pooled(
-                            &Arc::new(doc),
-                            &state.pool,
-                            jobs,
-                            memo,
-                        );
-                        if let Some(us) = m.recognize_us.observe_since(rt) {
-                            stages.push(("recognize".to_owned(), us));
-                        }
-                        state.record(1, &outcome.stats);
-                        verdict = verdict_over([outcome.is_potentially_valid()]);
-                        let st = m.serialize_us.start();
-                        let body = check_response(&outcome, &entry, memo);
-                        if let Some(us) = m.serialize_us.observe_since(st) {
-                            stages.push(("serialize".to_owned(), us));
-                        }
-                        body
-                    }
-                    Err(e) => err_response(&format!("document is not well-formed: {e}")),
-                }
+        Request::Check { handle, jobs, memo, xml } => {
+            let entry = state.entry(&handle)?;
+            let m = &state.metrics;
+            let pt = m.parse_us.start();
+            let parsed = pv_xml::parse(&xml);
+            if let Some(us) = m.parse_us.observe_since(pt) {
+                stages.push(("parse".to_owned(), us));
             }
-            Err(e) => err_response(&e),
-        },
+            let doc = parsed.map_err(|e| format!("document is not well-formed: {e}"))?;
+            // `jobs` follows the documented semantics (0 = the pool's
+            // whole worker cap, 1 = sequential) and `memo=0` detaches
+            // the shared cache without changing the scheduling.
+            let rt = m.recognize_us.start();
+            let outcome = entry.engine.check_document_pooled(&doc, &state.pool, jobs, memo);
+            if let Some(us) = m.recognize_us.observe_since(rt) {
+                stages.push(("recognize".to_owned(), us));
+            }
+            state.record(1, &outcome.stats);
+            let st = m.serialize_us.start();
+            let body = check_response(&outcome, &entry, memo);
+            if let Some(us) = m.serialize_us.observe_since(st) {
+                stages.push(("serialize".to_owned(), us));
+            }
+            return Ok((body, verdict_over([outcome.is_potentially_valid()])));
+        }
         // Intercepted by serve_connection (their chunks live on the
         // wire, interleaved with validation); they can never reach this
         // point.
         Request::CheckStream { .. } => {
-            err_response("CHECK_STREAM is handled by the connection loop")
+            return Err(Refusal::App("CHECK_STREAM is handled by the connection loop".into()))
         }
         Request::BatchStream { .. } => {
-            err_response("BATCH_STREAM is handled by the connection loop")
+            return Err(Refusal::App("BATCH_STREAM is handled by the connection loop".into()))
         }
-        Request::Batch { handle, jobs, xmls } => match state.entry(&handle) {
-            Ok(entry) => {
-                let m = &state.metrics;
-                let pt = m.parse_us.start();
-                let mut docs = Vec::with_capacity(xmls.len());
-                for (i, xml) in xmls.iter().enumerate() {
-                    match pv_xml::parse(xml) {
-                        Ok(d) => docs.push(d),
-                        Err(e) => {
-                            let msg = format!("document #{i} is not well-formed: {e}");
-                            return (err_response(&msg), "-");
-                        }
-                    }
-                }
-                if let Some(us) = m.parse_us.observe_since(pt) {
-                    stages.push(("parse".to_owned(), us));
-                }
-                let docs = Arc::new(docs);
-                let rt = m.recognize_us.start();
-                let outcomes = entry.engine.check_batch_pooled(&docs, &state.pool, jobs);
-                if let Some(us) = m.recognize_us.observe_since(rt) {
-                    stages.push(("recognize".to_owned(), us));
-                }
-                let mut merged = RecognizerStats::default();
-                for o in &outcomes {
-                    merged.merge(&o.stats);
-                }
-                state.record(outcomes.len() as u64, &merged);
-                verdict = verdict_over(outcomes.iter().map(|o| o.is_potentially_valid()));
-                let mut out = String::from("{\"ok\":true,\"outcomes\":[");
-                for (i, o) in outcomes.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::write_outcome(&mut out, o);
-                }
-                out.push_str("]}");
-                out
+        Request::Batch { handle, jobs, xmls } => {
+            let entry = state.entry(&handle)?;
+            let m = &state.metrics;
+            let pt = m.parse_us.start();
+            let mut docs = Vec::with_capacity(xmls.len());
+            for (i, xml) in xmls.iter().enumerate() {
+                let doc = pv_xml::parse(xml)
+                    .map_err(|e| format!("document #{i} is not well-formed: {e}"))?;
+                docs.push(doc);
             }
-            Err(e) => err_response(&e),
-        },
+            if let Some(us) = m.parse_us.observe_since(pt) {
+                stages.push(("parse".to_owned(), us));
+            }
+            let rt = m.recognize_us.start();
+            let outcomes = entry.engine.check_batch_pooled(&docs, &state.pool, jobs);
+            if let Some(us) = m.recognize_us.observe_since(rt) {
+                stages.push(("recognize".to_owned(), us));
+            }
+            let mut merged = RecognizerStats::default();
+            for o in &outcomes {
+                merged.merge(&o.stats);
+            }
+            state.record(outcomes.len() as u64, &merged);
+            let mut out = String::from("{\"ok\":true,\"outcomes\":[");
+            for (i, o) in outcomes.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::write_outcome(&mut out, o);
+            }
+            out.push_str("]}");
+            return Ok((out, verdict_over(outcomes.iter().map(|o| o.is_potentially_valid()))));
+        }
     };
-    (body, verdict)
+    Ok((body, "-"))
 }
 
 /// Renders the `METRICS` reply: the registry snapshot as one JSON line
@@ -1589,29 +1513,19 @@ fn metrics_response(state: &Arc<ServiceState>) -> String {
     out
 }
 
-fn load_response(result: Result<(String, Arc<DtdEntry>), String>) -> String {
-    match result {
-        Err(e) => err_response(&e),
-        Ok((handle, entry)) => {
-            let a = entry.engine.analysis();
-            let mut out = String::from("{\"ok\":true,\"handle\":");
-            json::write_str(&mut out, &handle);
-            out.push_str(",\"label\":");
-            json::write_str(&mut out, &entry.label);
-            out.push_str(",\"class\":");
-            json::write_str(&mut out, &a.rec.class.to_string());
-            let _ = write!(
-                out,
-                ",\"elements\":{},\"depth\":{}",
-                a.stats.m,
-                entry.engine.depth()
-            );
-            out.push_str(",\"analysis\":");
-            write_analysis(&mut out, &entry.engine);
-            out.push('}');
-            out
-        }
-    }
+fn load_response((handle, entry): (String, Arc<DtdEntry>)) -> String {
+    let a = entry.engine.analysis();
+    let mut out = String::from("{\"ok\":true,\"handle\":");
+    json::write_str(&mut out, &handle);
+    out.push_str(",\"label\":");
+    json::write_str(&mut out, &entry.label);
+    out.push_str(",\"class\":");
+    json::write_str(&mut out, &a.rec.class.to_string());
+    let _ = write!(out, ",\"elements\":{},\"depth\":{}", a.stats.m, entry.engine.depth());
+    out.push_str(",\"analysis\":");
+    write_analysis(&mut out, &entry.engine);
+    out.push('}');
+    out
 }
 
 /// The static-analysis summary attached to a handle (`LOAD`/`BUILTIN`

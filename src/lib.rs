@@ -16,11 +16,11 @@
 //!   the per-element DAG model, the ECRecognizer, whole-document and
 //!   incremental potential-validity checking;
 //! * [`par`] ([`pv_par`]) — the work-stealing parallelism layer: scoped
-//!   regions for one-shot callers and the persistent [`pv_par::Pool`]
-//!   behind the resident service;
+//!   regions whose tasks borrow their inputs, and the [`pv_par::Pool`]
+//!   worker cap the resident service runs them under;
 //! * [`service`] ([`pv_service`]) — the resident validation server and
-//!   its client (`pvx serve` / `pvx check --remote`): warm caches,
-//!   parked workers, a newline-framed length-prefixed wire protocol;
+//!   its client (`pvx serve` / `pvx check --remote`): warm caches, a
+//!   worker cap, a newline-framed length-prefixed wire protocol;
 //! * [`workload`] ([`pv_workload`]) — random DTD/document/trace generators;
 //! * [`editor`] ([`pv_editor`]) — always-potentially-valid editing
 //!   sessions.

@@ -141,6 +141,76 @@ fn tree_trace(doc: &Document) -> String {
     out
 }
 
+/// Rewrites some of a serialized document's character data so one text
+/// run reaches the lexer as several pieces: characters become decimal or
+/// hex character references, some gain a preceding `&amp;`, and short
+/// runs move into CDATA sections. Markup and existing references are
+/// copied unchanged. Seeded, so a failing case replays.
+fn splinter_text(xml: &str, seed: u64) -> String {
+    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+    let mut roll = move || {
+        // xorshift64*: plenty for picking rewrites.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 60
+    };
+    let mut out = String::with_capacity(xml.len() * 2);
+    let mut chars = xml.chars().peekable();
+    let mut quote: Option<char> = None;
+    let mut in_markup = false;
+    while let Some(c) = chars.next() {
+        if in_markup {
+            out.push(c);
+            match (quote, c) {
+                (Some(q), _) if c == q => quote = None,
+                (None, '"' | '\'') => quote = Some(c),
+                (None, '>') => in_markup = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '<' => {
+                in_markup = true;
+                out.push(c);
+            }
+            '&' => {
+                // An existing reference: copy it whole.
+                out.push(c);
+                for r in chars.by_ref() {
+                    out.push(r);
+                    if r == ';' {
+                        break;
+                    }
+                }
+            }
+            _ => match roll() {
+                0 | 1 => out.push_str(&format!("&#{};", c as u32)),
+                2 => out.push_str(&format!("&#x{:X};", c as u32)),
+                3 => {
+                    out.push_str("&amp;");
+                    out.push(c);
+                }
+                4 => {
+                    out.push_str("<![CDATA[");
+                    out.push(c);
+                    while let Some(&n) = chars.peek() {
+                        if n == '<' || n == '&' || roll() < 4 {
+                            break;
+                        }
+                        out.push(n);
+                        chars.next();
+                    }
+                    out.push_str("]]>");
+                }
+                _ => out.push(c),
+            },
+        }
+    }
+    out
+}
+
 /// Hand-picked markup shapes that stress the lexer's resumption points:
 /// splits land inside names, attributes, references, comments, PIs,
 /// CDATA sections, and multi-byte UTF-8 sequences.
@@ -327,7 +397,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Random well-formed documents × random chunk sizes: the event
-    /// stream describes exactly the tree the reference lexer builds.
+    /// stream describes exactly the tree the reference lexer builds —
+    /// as serialized, and with its text splintered into references and
+    /// CDATA sections ([`splinter_text`]), so multi-piece text runs are
+    /// exercised on generated documents too.
     #[test]
     fn generated_documents_trace_identically(
         seed in 0u64..5000,
@@ -336,10 +409,14 @@ proptest! {
     ) {
         let analysis = BuiltinDtd::Play.analysis();
         let doc = DocGen::new(&analysis, seed).generate(nodes);
-        let xml = doc.to_xml();
-        assert_parse_matches_reference(&xml);
-        let expect = tree_trace(&reference_xml::parse(&xml).unwrap());
-        prop_assert_eq!(event_trace(&xml, chunk).unwrap(), expect);
+        let plain = doc.to_xml();
+        let splintered = splinter_text(&plain, seed);
+        prop_assert_ne!(&splintered, &plain);
+        for xml in [plain, splintered] {
+            assert_parse_matches_reference(&xml);
+            let expect = tree_trace(&reference_xml::parse(&xml).unwrap());
+            prop_assert_eq!(event_trace(&xml, chunk).unwrap(), expect);
+        }
     }
 
     /// Random truncations of random documents: clean error, never a
